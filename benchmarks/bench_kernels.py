@@ -1,10 +1,6 @@
-"""Time the compiled kernels against the pure-numpy fallback.
+"""Time the public mod-p kernels.
 
-Runs each kernel on both lanes in one process by calling the lane
-functions directly, so the numbers are comparable without subprocess
-noise. Under HECKECHAIN_PURE_NUMPY=1 (or without numba installed) only
-the numpy lane exists and the script reports it alone. The sieve scan
-has a single numpy lane on every machine.
+Each row is the best of N calls of one kernel on a fixed input.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
@@ -33,11 +29,8 @@ def bench_rref(repeats):
     rows = []
     for n in (128, 256, 512):
         a = rng.integers(0, 10007, size=(n, n)).astype(np.int64)
-        lanes = {"numpy": lambda: _kernels._rref_mod_numpy(a.copy(), 10007)}
-        if _kernels.USING_NUMBA:
-            lanes["numba"] = lambda: _kernels._rref_mod_numba(a.copy(), 10007)
-            lanes["numba"]()  # compile before timing
-        rows.append((f"rref_mod {n}x{n}", {k: best_of(f, repeats) for k, f in lanes.items()}))
+        t = best_of(lambda: _kernels.rref_mod(a.copy(), 10007), repeats)
+        rows.append((f"rref_mod {n}x{n}", t))
     return rows
 
 
@@ -46,23 +39,13 @@ def bench_hecke(repeats):
     p1 = P1List(N)
     mats = np.array(merel_matrices(q), dtype=np.int64)
     n = len(p1) * (k - 1)
-    C = _kernels._binomial_table(k, ell)
 
-    def numpy_lane():
+    def accum():
         acc = np.zeros((n, n), dtype=np.int64)
-        _kernels._hecke_accum_numpy(acc, mats, p1.table, p1.reps, k, N, ell)
+        _kernels.hecke_accum(acc, mats, p1.table, p1.reps, k, N, ell)
 
-    lanes = {"numpy": numpy_lane}
-    if _kernels.USING_NUMBA:
-
-        def numba_lane():
-            acc = np.zeros((n, n), dtype=np.int64)
-            _kernels._hecke_accum_numba(acc, mats, p1.table, p1.reps, k, N, ell, C)
-
-        lanes["numba"] = numba_lane
-        lanes["numba"]()
     label = f"hecke_accum N={N} k={k} q={q} ({mats.shape[0]} mats)"
-    return [(label, {k_: best_of(f, repeats) for k_, f in lanes.items()})]
+    return [(label, best_of(accum, repeats))]
 
 
 def bench_sieve(repeats):
@@ -78,15 +61,12 @@ def bench_sieve(repeats):
     x0, step = crt_pair(1, 8, p - 1, p)
     count = 1 << 17
 
-    # One lane: the wheel sieve is numpy everywhere.  The wheel is memoised,
-    # so best-of timing reports the scan, not the one-off wheel build.
-    lanes = {
-        "numpy": lambda: _kernels._sieve_scan_numpy(
-            x0, step, 0, count, ells_a, flat_a, off_a
-        )
-    }
-    label = f"sieve_scan window={count} primes<=101"
-    return [(label, {k: best_of(f, repeats) for k, f in lanes.items()})]
+    # The wheel is memoised, so best-of timing reports the scan, not the
+    # one-off wheel build.
+    def scan():
+        _kernels.sieve_scan(x0, step, 0, count, ells_a, flat_a, off_a)
+
+    return [(f"sieve_scan window={count} primes<=101", best_of(scan, repeats))]
 
 
 def main(argv=None):
@@ -94,18 +74,10 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
 
-    print(f"kernel path: {_kernels.KERNEL_PATH}")
-    rows = []
-    rows += bench_rref(args.repeats)
-    rows += bench_hecke(args.repeats)
-    rows += bench_sieve(args.repeats)
-
+    rows = bench_rref(args.repeats) + bench_hecke(args.repeats) + bench_sieve(args.repeats)
     width = max(len(label) for label, _ in rows)
     for label, t in rows:
-        parts = [f"{lane} {t[lane] * 1e3:9.2f} ms" for lane in sorted(t)]
-        if "numba" in t and "numpy" in t:
-            parts.append(f"speedup {t['numpy'] / t['numba']:6.1f}x")
-        print(f"{label:<{width}}  " + "  ".join(parts))
+        print(f"{label:<{width}}  {t * 1e3:9.2f} ms")
 
 
 if __name__ == "__main__":

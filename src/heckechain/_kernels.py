@@ -1,112 +1,22 @@
-"""Dense mod-p kernels.
+"""Dense mod-p kernels: row reduction, matrix product, Hecke accumulation
+and the quadratic-residue sieve scan, one numpy implementation each.
 
-Row reduction and Hecke accumulation have a numba path and a pure-numpy
-fallback. Set HECKECHAIN_PURE_NUMPY=1 to force the fallback; otherwise the
-numba path is selected when numba imports cleanly. The sieve scan is a
-numpy CRT wheel on every machine. Arrays are int64 with entries reduced
-into [0, p); callers must keep n * (p - 1)^2 below 2**63 so products cannot
-overflow. benchmarks/bench_kernels.py times the kernels on each lane.
+Arrays are int64 with entries reduced into [0, p); callers must keep
+n * (p - 1)^2 below 2**63 so products cannot overflow.
+benchmarks/bench_kernels.py times the kernels.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
-_FORCE_PURE = os.environ.get("HECKECHAIN_PURE_NUMPY", "") not in ("", "0")
-
-if not _FORCE_PURE:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-KERNEL_PATH = "numba" if USING_NUMBA else "numpy"
-
-
-def _modinv_int(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
+# Written into benchmark stamp lines; numpy is the only kernel lane.
+KERNEL_PATH = "numpy"
 
 
 # -- row reduction ----------------------------------------------------------
-
-
-def _rref_mod_numpy(a: np.ndarray, p: int):
-    rows, cols = a.shape
-    piv = np.full(min(rows, cols), -1, dtype=np.int64)
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = _modinv_int(int(a[r, c]), p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[hit] = (a[hit] - col[hit, None] * a[r][None, :]) % p
-        piv[r] = c
-        r += 1
-        if r == rows:
-            break
-    return r, piv
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _modinv_i64(a, p):  # pragma: no cover - compiled
-        result = 1
-        b = a % p
-        e = p - 2
-        while e:
-            if e & 1:
-                result = result * b % p
-            b = b * b % p
-            e >>= 1
-        return result
-
-    @njit(cache=True)
-    def _rref_mod_numba(a, p):  # pragma: no cover - compiled
-        rows, cols = a.shape
-        piv = np.full(min(rows, cols), -1, dtype=np.int64)
-        r = 0
-        for c in range(cols):
-            pr = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            if pr != r:
-                for j in range(cols):
-                    t = a[r, j]
-                    a[r, j] = a[pr, j]
-                    a[pr, j] = t
-            inv = _modinv_i64(a[r, c], p)
-            for j in range(cols):
-                a[r, j] = a[r, j] * inv % p
-            for i in range(rows):
-                if i != r and a[i, c] != 0:
-                    f = a[i, c]
-                    for j in range(cols):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            piv[r] = c
-            r += 1
-            if r == rows:
-                break
-        return r, piv
 
 
 def rref_mod(a: np.ndarray, p: int):
@@ -115,13 +25,27 @@ def rref_mod(a: np.ndarray, p: int):
         raise TypeError("rref_mod expects int64 input")
     if a.size and int(a.shape[1]) * (p - 1) * (p - 1) >= 2**63:
         raise OverflowError("modulus too large for int64 row reduction")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    if USING_NUMBA:
-        rank, piv = _rref_mod_numba(a, p)
-    else:
-        rank, piv = _rref_mod_numpy(a, p)
-    return int(rank), piv[:rank].copy()
+    rows, cols = a.shape
+    piv = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit] = (a[hit] - col[hit, None] * a[r][None, :]) % p
+        piv.append(c)
+        r += 1
+    return r, np.array(piv, dtype=np.int64)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -131,6 +55,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 # -- Hecke accumulation ------------------------------------------------------
+
+# Merel matrices are scattered in blocks of at most this many terms
+# (matrices x reps x (k-1)^2), which bounds the index and value arrays held
+# at once: one pass per T_q raised the peak RSS of `orbits 389 2 7` then
+# `orbits 97 4 13` in one process from 76 to 85 MB, blocks of 2**16 terms
+# to under 77 MB.
+SCATTER_LIMIT = 1 << 16
 
 
 def _binomial_table(k: int, ell: int) -> np.ndarray:
@@ -143,102 +74,28 @@ def _binomial_table(k: int, ell: int) -> np.ndarray:
     return C
 
 
-def _hecke_accum_numpy(acc, mats, tbl, reps, k, N, ell):
+def _sym_blocks(mats, k, ell):
+    """(G, k-1, k-1) tensor: B[g, i, j] is the coefficient of X^j Y^(kk-j)
+    in (a X + b Y)^i (c X + d Y)^(kk-i) mod ell, kk = k - 2, for the g-th
+    matrix (a, b, c, d)."""
     kk = k - 2
-    w = k - 1
     C = _binomial_table(k, ell)
-    idx = np.arange(kk + 1)
-    u = reps[:, 0]
-    v = reps[:, 1]
-    for gi in range(mats.shape[0]):
-        a, b, c, d = (int(x) for x in mats[gi])
-        apow = np.array([pow(a % ell, int(i), ell) for i in idx], dtype=np.int64)
-        bpow = np.array([pow(b % ell, int(i), ell) for i in idx], dtype=np.int64)
-        cpow = np.array([pow(c % ell, int(i), ell) for i in idx], dtype=np.int64)
-        dpow = np.array([pow(d % ell, int(i), ell) for i in idx], dtype=np.int64)
-        B = np.zeros((kk + 1, kk + 1), dtype=np.int64)
-        for i in range(kk + 1):
-            urow = C[i, : i + 1] * apow[: i + 1] % ell * bpow[: i + 1][::-1] % ell
-            vrow = (
-                C[kk - i, : kk - i + 1]
-                * cpow[: kk - i + 1]
-                % ell
-                * dpow[: kk - i + 1][::-1]
-                % ell
-            )
-            B[i] = np.convolve(urow, vrow) % ell
-        tu = (u * a + v * c) % N
-        tv = (u * b + v * d) % N
-        targets = tbl[tu, tv]
-        for x in range(reps.shape[0]):
-            t = int(targets[x])
-            if t < 0:
-                continue
-            # column block x feeds row block t; B[i, j] couples source
-            # exponent i to target exponent j
-            acc[t * w : t * w + kk + 1, x * w : x * w + kk + 1] = (
-                acc[t * w : t * w + kk + 1, x * w : x * w + kk + 1] + B.T
-            ) % ell
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _hecke_accum_numba(acc, mats, tbl, reps, k, N, ell, C):  # pragma: no cover
-        kk = k - 2
-        w = k - 1
-        nP1 = reps.shape[0]
-        apow = np.empty(kk + 1, np.int64)
-        bpow = np.empty(kk + 1, np.int64)
-        cpow = np.empty(kk + 1, np.int64)
-        dpow = np.empty(kk + 1, np.int64)
-        B = np.empty((kk + 1, kk + 1), np.int64)
-        for gi in range(mats.shape[0]):
-            a = mats[gi, 0]
-            b = mats[gi, 1]
-            c = mats[gi, 2]
-            d = mats[gi, 3]
-            am = a % ell
-            bm = b % ell
-            cm = c % ell
-            dm = d % ell
-            apow[0] = 1
-            bpow[0] = 1
-            cpow[0] = 1
-            dpow[0] = 1
-            for i in range(1, kk + 1):
-                apow[i] = apow[i - 1] * am % ell
-                bpow[i] = bpow[i - 1] * bm % ell
-                cpow[i] = cpow[i - 1] * cm % ell
-                dpow[i] = dpow[i - 1] * dm % ell
-            for i in range(kk + 1):
-                for j in range(kk + 1):
-                    s = 0
-                    lo = j - (kk - i)
-                    if lo < 0:
-                        lo = 0
-                    hi = i if i < j else j
-                    for m in range(lo, hi + 1):
-                        s = (
-                            s
-                            + C[i, m]
-                            * apow[m]
-                            % ell
-                            * bpow[i - m]
-                            % ell
-                            * (C[kk - i, j - m] * cpow[j - m] % ell * dpow[kk - i - j + m] % ell)
-                        ) % ell
-                    B[i, j] = s
-            for x in range(nP1):
-                tu = (reps[x, 0] * a + reps[x, 1] * c) % N
-                tv = (reps[x, 0] * b + reps[x, 1] * d) % N
-                t = tbl[tu, tv]
-                if t < 0:
-                    continue
-                for i in range(kk + 1):
-                    for j in range(kk + 1):
-                        if B[i, j]:
-                            acc[t * w + j, x * w + i] = (acc[t * w + j, x * w + i] + B[i, j]) % ell
+    pw = np.ones((mats.shape[0], 4, kk + 1), dtype=np.int64)
+    base = mats % ell
+    for e in range(1, kk + 1):
+        pw[:, :, e] = pw[:, :, e - 1] * base % ell
+    apow, bpow, cpow, dpow = (pw[:, col] for col in range(4))
+    i = np.arange(kk + 1)[:, None]
+    m = np.arange(kk + 1)[None, :]
+    # U[g, i, m] = C(i, m) a^m b^(i-m) and V[g, i, n] = C(kk-i, n) c^n
+    # d^(kk-i-n); the binomial table is zero where the exponent would be
+    # negative, so clipping it to 0 is harmless.
+    U = C[i, m] * apow[:, m] % ell * bpow[:, np.maximum(i - m, 0)] % ell
+    V = C[kk - i, m] * cpow[:, m] % ell * dpow[:, np.maximum(kk - i - m, 0)] % ell
+    B = np.zeros_like(U)
+    for s in range(kk + 1):
+        B[:, :, s:] += U[:, :, s : s + 1] * V[:, :, : kk + 1 - s]
+    return B % ell
 
 
 def hecke_accum(acc, mats, tbl, reps, k, N, ell):
@@ -246,11 +103,26 @@ def hecke_accum(acc, mats, tbl, reps, k, N, ell):
 
     acc is (n, n) with n = #reps * (k - 1), zeroed by the caller; mats holds
     rows (a, b, c, d); tbl maps a pair mod N to its basis slot or -1.
+    Column block x feeds row block t, the slot of (u, v) * g for rep x =
+    (u, v); entry (i, j) of the g-th Sym^(k-2) block couples source exponent
+    i to target exponent j.  Sums are exact in int64 and reduced mod ell
+    once at the end.
     """
-    if USING_NUMBA:
-        _hecke_accum_numba(acc, mats, tbl, reps, k, N, ell, _binomial_table(k, ell))
-    else:
-        _hecke_accum_numpy(acc, mats, tbl, reps, k, N, ell)
+    w = k - 1
+    B = _sym_blocks(mats, k, ell)
+    u = reps[:, 0]
+    v = reps[:, 1]
+    e = np.arange(w)
+    step = max(1, SCATTER_LIMIT // (reps.shape[0] * w * w))
+    for g0 in range(0, mats.shape[0], step):
+        a, b, c, d = (mats[g0 : g0 + step, col, None] for col in range(4))
+        targets = tbl[(u * a + v * c) % N, (u * b + v * d) % N]
+        g, x = np.nonzero(targets >= 0)
+        t = targets[g, x]
+        rows = (t * w)[:, None, None] + e[None, None, :]
+        cols = (x * w)[:, None, None] + e[None, :, None]
+        np.add.at(acc, (rows, cols), B[g0 + g])
+    acc %= ell
 
 
 # -- quadratic-residue sieve scan --------------------------------------------
@@ -291,7 +163,16 @@ def _wheel(x0, step, ells_key, flat_key, off_key):
     return W, survivors, tuple(rest)
 
 
-def _sieve_scan_numpy(x0, step, t_start, count, ells, qr_flat, qr_off):
+def sieve_scan(x0, step, t_start, count, ells, qr_flat, qr_off):
+    """Candidates n = x0 + t*step, t in [t_start, t_start + count), whose
+    residue mod each ells[i] is a listed nonzero value in that prime's lookup
+    slice; increasing in t, at most 64 per call.
+
+    Survivors come off a CRT wheel over the leading moduli (memoised per
+    sieve problem) and are filtered against the remaining ones with table
+    lookups, in the manner of Sorenson's wheel sieve for pseudosquares
+    (ANTS IX, 2010).
+    """
     x0, step, t_start, count = int(x0), int(step), int(t_start), int(count)
     W, survivors, rest = _wheel(
         x0,
@@ -309,17 +190,4 @@ def _sieve_scan_numpy(x0, step, t_start, count, ells, qr_flat, qr_off):
         t = t[allowed[t % l]]
         if t.size == 0:
             break
-    return x0 + t[:64] * step
-
-
-def sieve_scan(x0, step, t_start, count, ells, qr_flat, qr_off):
-    """Candidates n = x0 + t*step, t in [t_start, t_start + count), whose
-    residue mod each ells[i] is a listed nonzero value in that prime's lookup
-    slice; increasing in t, at most 64 per call.
-
-    One numpy lane on every machine: survivors come off a CRT wheel over the
-    leading moduli (memoised per sieve problem) and are filtered against the
-    remaining ones with table lookups, in the manner of Sorenson's wheel
-    sieve for pseudosquares (ANTS IX, 2010).
-    """
-    return [int(h) for h in _sieve_scan_numpy(x0, step, t_start, count, ells, qr_flat, qr_off)]
+    return [int(h) for h in x0 + t[:64] * step]

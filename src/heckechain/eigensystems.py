@@ -133,14 +133,6 @@ class Eigensystem:
             self._minpolys[q] = tuple(int(c) for c in f)
         return self._minpolys[q]
 
-    def eigen_table(self, bound: int) -> dict[int, int]:
-        """a(q) for primes q <= bound with q not dividing N * ell."""
-        return {
-            q: self.a(q)
-            for q in primes_up_to(bound)
-            if self.N % q and q != self.ell
-        }
-
     # -- internal refinement ---------------------------------------------------
 
     def _restriction(self, q: int) -> list[list[int]]:

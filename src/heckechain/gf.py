@@ -246,10 +246,6 @@ class FiniteField:
     def elements(self):
         return range(self.order)
 
-    def generator_power_basis(self) -> list[int]:
-        """Encodings of 1, x, x^2, ..., x^(d-1)."""
-        return [self.p**i for i in range(self.degree)]
-
 
 def field(p: int, degree: int = 1) -> FiniteField:
     """Cached canonical field; identical objects for identical parameters."""

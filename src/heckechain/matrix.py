@@ -37,11 +37,6 @@ def right_kernel(a: np.ndarray, p: int) -> np.ndarray:
             K[pc, j] = (-m[i, f]) % p
     return K
 
-def column_space_projector(a: np.ndarray, p: int):
-    """(rank, pivot columns) of a; pivots index an independent column set."""
-    _, rank, piv = rref(a, p)
-    return rank, piv
-
 
 def solve_columns(C: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """X with C @ X = B mod p, for C with independent columns."""

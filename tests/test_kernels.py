@@ -1,15 +1,12 @@
-import json
-import os
 import random
-import subprocess
-import sys
-import textwrap
+from math import comb
 
 import numpy as np
 import pytest
 
 from heckechain import _kernels
-from heckechain._kernels import rref_mod, sieve_scan
+from heckechain._kernels import hecke_accum, rref_mod, sieve_scan
+from heckechain.modsym import P1List, merel_matrices
 
 
 def reference_rref(a, p):
@@ -37,11 +34,6 @@ def reference_rref(a, p):
     return a, r, pivots
 
 
-def test_kernel_path_flag_is_consistent():
-    assert _kernels.KERNEL_PATH in ("numba", "numpy")
-    assert (_kernels.KERNEL_PATH == "numba") == _kernels.USING_NUMBA
-
-
 def test_rref_matches_reference():
     rng = np.random.default_rng(5077)
     for p in (2, 5, 101, 10007):
@@ -53,20 +45,6 @@ def test_rref_matches_reference():
             assert rank == want_rank
             assert piv.tolist() == want_piv
             assert got.tolist() == want
-
-
-def test_rref_lanes_agree_in_process():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        p = int(rng.choice([5, 97, 997]))
-        a = rng.integers(0, p, size=(10, 7)).astype(np.int64)
-        via_numpy = a.copy()
-        rank_np, piv_np = _kernels._rref_mod_numpy(via_numpy, p)
-        via_public = a.copy()
-        rank, piv = rref_mod(via_public, p)
-        assert rank == rank_np
-        assert piv.tolist() == piv_np[:rank_np].tolist()
-        assert np.array_equal(via_public, via_numpy)
 
 
 def test_rref_edge_cases():
@@ -108,9 +86,6 @@ def test_sieve_scan_matches_brute_force():
                 break
     assert got == want
     assert len(got) == 64
-
-    via_numpy = _kernels._sieve_scan_numpy(x0, step, t_start, count, ells, qr_flat, qr_off)
-    assert [int(h) for h in via_numpy] == want
 
 
 def test_sieve_scan_empty_window():
@@ -177,49 +152,90 @@ def test_sieve_scan_wheel_caps_mid_period():
     assert again == want[64:128]
 
 
-PROBE = textwrap.dedent("""
-    import json
-    import numpy as np
-    from heckechain import _kernels
-    from heckechain.modsym import symbol_space
-    from heckechain.mlt import find_good_dihedral
-
-    rng = np.random.default_rng(5077)
-    a = rng.integers(0, 10007, size=(12, 9)).astype(np.int64)
-    rank, piv = _kernels.rref_mod(a, 10007)
-    pair = find_good_dihedral(10)
-    print(json.dumps({
-        "path": _kernels.KERNEL_PATH,
-        "rank": rank,
-        "piv": piv.tolist(),
-        "rref": a.tolist(),
-        "hecke_23_4_13_T2": symbol_space(23, 4, 13).hecke_matrix(2).tolist(),
-        "hecke_11_2_7_T3": symbol_space(11, 2, 7).hecke_matrix(3).tolist(),
-        "gd10": [pair.p, pair.q],
-    }))
-""")
-
-
-def run_probe(pure: bool) -> dict:
-    env = dict(os.environ)
-    if pure:
-        env["HECKECHAIN_PURE_NUMPY"] = "1"
-    else:
-        env.pop("HECKECHAIN_PURE_NUMPY", None)
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
+def loop_hecke_accum(acc, mats, tbl, reps, k, N, ell):
+    """One Merel matrix at a time: the Sym^(k-2) block of each matrix is
+    added, mod ell, into the block of every rep whose image has a slot."""
+    kk = k - 2
+    w = k - 1
+    C = np.array(
+        [[comb(n, m) % ell for m in range(kk + 1)] for n in range(kk + 1)], dtype=np.int64
     )
-    return json.loads(out.stdout)
+    idx = np.arange(kk + 1)
+    u = reps[:, 0]
+    v = reps[:, 1]
+    for gi in range(mats.shape[0]):
+        a, b, c, d = (int(x) for x in mats[gi])
+        apow = np.array([pow(a % ell, int(i), ell) for i in idx], dtype=np.int64)
+        bpow = np.array([pow(b % ell, int(i), ell) for i in idx], dtype=np.int64)
+        cpow = np.array([pow(c % ell, int(i), ell) for i in idx], dtype=np.int64)
+        dpow = np.array([pow(d % ell, int(i), ell) for i in idx], dtype=np.int64)
+        B = np.zeros((kk + 1, kk + 1), dtype=np.int64)
+        for i in range(kk + 1):
+            urow = C[i, : i + 1] * apow[: i + 1] % ell * bpow[: i + 1][::-1] % ell
+            vrow = (
+                C[kk - i, : kk - i + 1]
+                * cpow[: kk - i + 1]
+                % ell
+                * dpow[: kk - i + 1][::-1]
+                % ell
+            )
+            B[i] = np.convolve(urow, vrow) % ell
+        targets = tbl[(u * a + v * c) % N, (u * b + v * d) % N]
+        for x in range(reps.shape[0]):
+            t = int(targets[x])
+            if t < 0:
+                continue
+            # column block x feeds row block t; B[i, j] couples source
+            # exponent i to target exponent j
+            acc[t * w : t * w + kk + 1, x * w : x * w + kk + 1] = (
+                acc[t * w : t * w + kk + 1, x * w : x * w + kk + 1] + B.T
+            ) % ell
 
 
-@pytest.mark.slow
-def test_pure_numpy_lane_matches_default_lane():
-    pure = run_probe(pure=True)
-    default = run_probe(pure=False)
-    assert pure["path"] == "numpy"
-    for key in ("rank", "piv", "rref", "hecke_23_4_13_T2", "hecke_11_2_7_T3", "gd10"):
-        assert pure[key] == default[key], f"lane mismatch on {key}"
+def merel(q):
+    return np.array(merel_matrices(q), dtype=np.int64)
+
+
+def signed_matrices(q):
+    """Random integer matrices with negative entries, seeded by q."""
+    return np.random.default_rng(q).integers(-50, 51, size=(40, 4)).astype(np.int64)
+
+
+def assert_matches_loop(N, k, ell, mats):
+    p1 = P1List(N)
+    n = len(p1) * (k - 1)
+    want = np.zeros((n, n), dtype=np.int64)
+    loop_hecke_accum(want, mats, p1.table, p1.reps, k, N, ell)
+    got = np.zeros((n, n), dtype=np.int64)
+    hecke_accum(got, mats, p1.table, p1.reps, k, N, ell)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "N, k, ell, q, mats",
+    [
+        (11, 2, 7, 43, merel),
+        (389, 2, 7, 3, merel),
+        (37, 2, 5, 11, merel),
+        (23, 4, 13, 2, merel),
+        (37, 6, 101, 7, merel),
+        (5, 12, 11, 13, merel),
+        (1, 12, 13, 5, merel),
+        (15, 4, 7, 3, signed_matrices),
+    ],
+)
+def test_hecke_accum_matches_loop(N, k, ell, q, mats):
+    assert_matches_loop(N, k, ell, mats(q))
+
+
+@pytest.mark.parametrize("limit", [None, 1, 5 * 98 * 9 + 1])
+def test_hecke_accum_is_independent_of_scatter_blocks(monkeypatch, limit):
+    # T_31 on P^1(Z/97) at weight 4: 219 matrices x 98 reps x 9 = 193 158
+    # terms, so three blocks at the default limit, one matrix per block at
+    # limit 1, and a short last block at five matrices per block.
+    mats = merel(31)
+    if limit is None:
+        assert mats.shape[0] * 98 * 9 > 2 * _kernels.SCATTER_LIMIT
+    else:
+        monkeypatch.setattr(_kernels, "SCATTER_LIMIT", limit)
+    assert_matches_loop(97, 4, 13, mats)
