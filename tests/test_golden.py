@@ -1,0 +1,60 @@
+"""CLI stdout replayed against recorded golden files, byte for byte.
+
+Each file under ``tests/golden/`` holds the stdout of one ``heckechain``
+command, recorded before the library's congruence-graph and polynomial code
+was consolidated; a refactor must reproduce every one exactly.  Record a new
+command by adding it to ``COMMANDS`` and running this file as a script from
+the repository root with ``PYTHONPATH=src``.
+"""
+
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from heckechain import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = [
+    *[["graph", str(N), "2", "--lmax", "50"] for N in (11, 22, 33, 37, 67)],
+    ["congruences", "1", "12", "11", "2", "--lmax", "13"],
+    ["congruences", "5", "4", "7", "4", "--lmax", "13"],
+    ["congruences", "3", "6", "2", "8", "--lmax", "13"],
+    ["congruences", "6", "4", "8", "4", "--lmax", "13"],
+    ["chain", "1.12.0", "11.2.0", "--lmax", "13", "--mlt-only"],
+    ["chain", "5.4.0", "7.4.0", "--lmax", "13"],
+    ["chain", "2.8.0", "3.6.0", "--lmax", "13", "--mlt-only"],
+    ["orbits", "23", "2", "5"],
+    ["orbits", "22", "2", "7"],
+    ["orbits", "67", "2", "5"],
+    ["orbits", "5", "12", "13"],
+]
+
+
+def golden_path(argv: list[str]) -> Path:
+    return GOLDEN / (re.sub(r"[^0-9A-Za-z.]+", "_", " ".join(argv)) + ".txt")
+
+
+def stdout_of(argv: list[str], capsys) -> str:
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_stdout_matches_golden(argv, capsys, monkeypatch):
+    monkeypatch.delenv("HECKECHAIN_CACHE_DIR", raising=False)
+    assert stdout_of(argv, capsys) == golden_path(argv).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    for argv in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            if cli.main(argv) != 0:
+                sys.exit(f"{' '.join(argv)} failed")
+        golden_path(argv).write_text(out.getvalue(), encoding="utf-8")
