@@ -60,11 +60,6 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-def prime_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi."""
-    return [p for p in primes_up_to(hi) if p >= lo]
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; inputs here are desk-scale."""
     if n <= 0:
@@ -83,13 +78,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def radical(n: int) -> int:
-    r = 1
-    for p in factorize(n):
-        r *= p
-    return r
 
 
 def divisors(n: int) -> list[int]:

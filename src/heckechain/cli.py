@@ -13,12 +13,11 @@ import json
 import sys
 
 from .arith import DomainError, primes_up_to
-from .congruence import cross_bound, check_congruence, weight_compatible, scan_congruences
+from .congruence import space_congruences, weight_compatible
 from .dims import dim_cusp_forms, dim_new
 from .eigensystems import decompose, operator_primes, sturm_bound
-from .graph import CongruenceGraph, mazur_report
+from .graph import chain_graph, mazur_report
 from .images import ImageClass, classify_image, is_adequate
-from .lifting import integral_classes, reduce_class_mod
 from .mlt import EdgeContext, all_verdicts, best_verdict, find_good_dihedral
 from .modsym import symbol_space
 from .planner import connect as planner_connect
@@ -122,37 +121,6 @@ def _render_orbits(p: dict) -> str:
 # -- congruences --------------------------------------------------------------
 
 
-def _reduced_scan(N1, k1, N2, k2, ell):
-    """Certified congruences between the rational integral orbit classes of
-    two spaces, reduced at one characteristic. Serves characteristics where
-    a direct decomposition is out of domain, such as ell dividing a level."""
-    ca = integral_classes(N1, k1)
-    cb = integral_classes(N2, k2)
-    bound = cross_bound(N1, k1, N2, k2)
-
-    def reductions(container):
-        out = []
-        for cls in container.classes:
-            try:
-                out.append(reduce_class_mod(cls, ell, bound))
-            except DomainError:
-                continue
-        return out
-
-    left = reductions(ca)
-    right = reductions(cb)
-    same = (N1, k1) == (N2, k2)
-    edges = []
-    for i, ra in enumerate(left):
-        for j, rb in enumerate(right):
-            if same and j <= i:
-                continue
-            edge = check_congruence(ra, rb)
-            if edge.certified:
-                edges.append(edge)
-    return edges
-
-
 def _payload_congruences(N1, k1, N2, k2, lmax) -> dict:
     checked = []
     skipped = []
@@ -162,20 +130,10 @@ def _payload_congruences(N1, k1, N2, k2, lmax) -> dict:
             skipped.append([ell, f"weights {k1} and {k2} are incompatible at {ell}"])
             continue
         try:
-            found = scan_congruences(
-                decompose(N1, k1, ell), decompose(N2, k2, ell), ell
-            )
-            route = "direct"
+            route, found = space_congruences(N1, k1, N2, k2, ell)
         except DomainError as exc:
-            if ell in (2, 3):
-                skipped.append([ell, str(exc)])
-                continue
-            try:
-                found = _reduced_scan(N1, k1, N2, k2, ell)
-                route = "reduced"
-            except DomainError as exc2:
-                skipped.append([ell, str(exc2)])
-                continue
+            skipped.append([ell, str(exc)])
+            continue
         checked.append([ell, route])
         seen = set()
         for e in found:
@@ -352,47 +310,10 @@ def _render_graph(p: dict) -> str:
 # -- chain --------------------------------------------------------------------
 
 
-def _chain_graph(a, b, lmax: int) -> CongruenceGraph:
-    sides = [(a[0], a[1])]
-    if (b[0], b[1]) not in sides:
-        sides.append((b[0], b[1]))
-    entries = []
-    for N, k in sides:
-        container = integral_classes(N, k)
-        for cls in container.classes:
-            entries.append((_label_str(cls.label), cls, N, k))
-    g = CongruenceGraph()
-    for label, _, _, _ in entries:
-        g.add_node(label)
-    for ell in primes_up_to(lmax):
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                la, ca, Na, ka = entries[i]
-                lb, cb, Nb, kb = entries[j]
-                if not weight_compatible(ka, kb, ell):
-                    continue
-                bound = cross_bound(Na, ka, Nb, kb)
-                try:
-                    ra = reduce_class_mod(
-                        ca, ell, max(bound, 50, 2 * sturm_bound(Na, ka))
-                    )
-                    rb = reduce_class_mod(cb, ell, bound)
-                    edge = check_congruence(ra, rb)
-                except DomainError:
-                    continue
-                if not edge.certified:
-                    continue
-                verdict = best_verdict(
-                    EdgeContext(ell=ell, image=classify_image(ra), weights=(ka, kb))
-                )
-                g.add_edge(la, lb, ell, label=f"{la}~{lb}", verdict=verdict)
-    return g
-
-
 def _payload_chain(args) -> dict:
     src = _parse_label(args.src)
     dst = _parse_label(args.dst)
-    g = _chain_graph(src, dst, args.lmax)
+    g = chain_graph(src, dst, args.lmax)
     src_l, dst_l = _label_str(src), _label_str(dst)
     path = g.chain_search(src_l, dst_l, mlt_only=args.mlt_only)
     steps = None

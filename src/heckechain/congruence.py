@@ -10,12 +10,14 @@ the first mismatch of the twist that survives longest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from math import lcm
 
 from . import polys
 from .arith import DomainError, primes_up_to
-from .eigensystems import sturm_bound
+from .eigensystems import decompose, sturm_bound
 from .gf import field
+from .lifting import integral_classes, reduce_class_mod
 
 
 def cross_bound(N1: int, k1: int, N2: int, k2: int) -> int:
@@ -106,3 +108,40 @@ def scan_congruences(systems_a, systems_b, ell: int) -> list[CongruenceEdge]:
             if edge.certified:
                 edges.append(edge)
     return edges
+
+
+def reduced_congruence(ca, cb, ell: int, left_bound: int):
+    """Check two integral classes for a congruence mod ell through their
+    reductions, up to the pair's cross bound; this works at any prime,
+    including one dividing a level.  The left reduction also covers the
+    primes up to ``left_bound`` and is returned with the edge.  None when a
+    class has no reduction: it is not rational, or its table cannot be
+    assigned."""
+    bound = cross_bound(ca.N, ca.k, cb.N, cb.k)
+    try:
+        ra = reduce_class_mod(ca, ell, max(bound, left_bound))
+        rb = reduce_class_mod(cb, ell, bound)
+    except DomainError:
+        return None
+    return ra, check_congruence(ra, rb)
+
+
+def space_congruences(N1: int, k1: int, N2: int, k2: int, ell: int):
+    """Certified congruences mod ell between the systems of two spaces, with
+    the route that found them.
+
+    The "direct" route compares the mod-ell orbits.  Where a space is out of
+    domain at ell (ell dividing a level, ...), the "reduced" route compares
+    the reductions of the rational integral classes instead; at 2 and 3 the
+    direct route's error stands.
+    """
+    try:
+        return "direct", scan_congruences(decompose(N1, k1, ell), decompose(N2, k2, ell), ell)
+    except DomainError:
+        if ell in (2, 3):
+            raise
+    left = integral_classes(N1, k1).classes
+    right = integral_classes(N2, k2).classes
+    pairs = combinations(left, 2) if (N1, k1) == (N2, k2) else product(left, right)
+    found = (reduced_congruence(ca, cb, ell, 0) for ca, cb in pairs)
+    return "reduced", [f[1] for f in found if f is not None and f[1].certified]

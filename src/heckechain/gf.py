@@ -9,13 +9,16 @@ across runs and machines. Degree-1 fields reduce to plain mod-p arithmetic.
 
 from __future__ import annotations
 
+from . import polys
 from .arith import DomainError, ext_gcd, is_prime
 
 _FIELD_CACHE: dict[tuple[int, int], "FiniteField"] = {}
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    # Dense little-endian product reduced by the monic modulus.
+    # Dense little-endian product reduced by the monic modulus.  Kept apart
+    # from polys.mul/mod: FiniteField.mul is the hottest path, and going
+    # through field-element polynomials would slow it down.
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -33,72 +36,6 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
     return out
 
 
-def _poly_powmod_x(e: int, mod: list[int], p: int) -> list[int]:
-    """x^e mod (mod), little-endian coefficients."""
-    result = [1]
-    base = [0, 1] if len(mod) > 2 else [(-mod[0]) % p]
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    # coeffs monic, little-endian, degree d >= 1.
-    d = len(coeffs) - 1
-    if d == 1:
-        return True
-    xq = _poly_powmod_x(p**d, coeffs, p)
-    if xq != [0, 1]:
-        return False
-    for r in {r for r in range(2, d + 1) if d % r == 0 and _prime(r)}:
-        xe = _poly_powmod_x(p ** (d // r), coeffs, p)
-        g = _poly_gcd([(a - b) % p for a, b in _zip_pad(xe, [0, 1])], coeffs, p)
-        if len(g) > 1:
-            return False
-    return True
-
-
-def _prime(n: int) -> bool:
-    return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _trim(list(a))
-    b = _trim(list(b))
-    while b != [0]:
-        a, b = b, _poly_rem(a, b, p)
-    if a == [0]:
-        return a
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv % p
-        if c:
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _trim(a[:db] or [0])
-
-
-def _trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _canonical_modulus(p: int, d: int) -> tuple[int, ...]:
     """Monic irreducible of degree d over F_p with smallest encoded low part."""
     for low in range(p**d):
@@ -108,7 +45,7 @@ def _canonical_modulus(p: int, d: int) -> tuple[int, ...]:
             coeffs.append(n % p)
             n //= p
         coeffs.append(1)
-        if _is_irreducible(coeffs, p):
+        if polys.is_irreducible(field(p), tuple(coeffs)):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -160,9 +97,6 @@ class FiniteField:
 
     def from_int(self, n: int) -> int:
         return n % self.p
-
-    def in_prime_subfield(self, a: int) -> bool:
-        return a < self.p
 
     # -- arithmetic --------------------------------------------------------
 
@@ -221,7 +155,8 @@ class FiniteField:
         if self.degree == 1:
             g, x, _ = ext_gcd(a, self.p)
             return x % self.p
-        return self.pow(a, self.order - 2)
+        # Extended Euclid on the residue polynomial and the modulus over F_p.
+        return self.encode(polys.xgcd(field(self.p), polys.trim(self.decode(a)), self.modulus)[1])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

@@ -6,18 +6,21 @@ and an optional lifting-theorem verdict.  ``mazur_report`` assembles the
 graph of integral eigensystem classes at one level (including classes from
 every divisor level) with an edge wherever two classes collide mod ell, and
 reports the connected components together with the characteristics that had
-to be dropped.
+to be dropped.  ``chain_graph`` joins the classes of two spaces through the
+reductions of their rational classes, for chain search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .arith import DomainError, divisors, is_prime, primes_up_to
+from .congruence import reduced_congruence, weight_compatible
 from .dims import dim_cusp_forms
-from .eigensystems import decompose, sturm_bound
-from .lifting import _divides_mod, integral_classes
-from .mlt import MltVerdict
+from .images import classify_image, witness_bound
+from .lifting import base_primes, integral_classes, orbit_class_map
+from .mlt import EdgeContext, MltVerdict, best_verdict
 
 
 @dataclass(frozen=True)
@@ -141,31 +144,6 @@ class MazurReport:
     graph: CongruenceGraph = field(compare=False, repr=False, default=None)
 
 
-def _collision_cliques(N, k, ell, node_info, qs):
-    """Nodes matched by each mod-ell orbit at level N; one list per orbit."""
-    systems = decompose(N, k, ell)
-    if sum(s.block_dim for s in systems) != 2 * dim_cusp_forms(N, k):
-        raise DomainError("dimension anomaly at this characteristic")
-    cliques = []
-    for s in systems:
-        hits = []
-        for label, container, idx in node_info:
-            ok = True
-            for q in qs:
-                if q == ell or q == container.anchor:
-                    continue
-                F = container.factor_for(idx, q)
-                if not _divides_mod(s.min_poly(q), F, ell):
-                    ok = False
-                    break
-            if ok:
-                hits.append(label)
-        if not hits:
-            raise DomainError("orbit matches no integral class at this characteristic")
-        cliques.append(hits)
-    return cliques
-
-
 def mazur_report(N: int, k: int, ell_range) -> MazurReport:
     """Connectedness of the classes at level N and its divisors under mod-ell
     collisions for every usable prime in ``ell_range``.
@@ -175,22 +153,21 @@ def mazur_report(N: int, k: int, ell_range) -> MazurReport:
     cannot be used (divides the level, too small for the weight, dimension
     anomaly, ...) is recorded with its reason rather than silently skipped.
     """
-    qs = [q for q in primes_up_to(sturm_bound(N, k)) if N % q]
-    node_info = []
-    seen: dict[tuple, tuple[int, int, int]] = {}
+    qs = base_primes(N, k)
+    nodes = []
+    seen = set()
     for M in divisors(N):
         if dim_cusp_forms(M, k) == 0:
             continue
-        container = integral_classes(M, k)
-        for cls in container.classes:
-            fingerprint = tuple(container.factor_for(cls.index, q) for q in qs)
-            if fingerprint in seen:
-                continue
-            seen[fingerprint] = cls.label
-            node_info.append((cls.label, container, cls.index))
+        for cls in integral_classes(M, k).classes:
+            fingerprint = tuple(cls.factor_at(q) for q in qs)
+            if fingerprint not in seen:
+                seen.add(fingerprint)
+                nodes.append(cls)
+    labels = [cls.label for cls in nodes]
 
     graph = CongruenceGraph()
-    for label, _, _ in node_info:
+    for label in labels:
         graph.add_node(label)
 
     used = []
@@ -205,17 +182,15 @@ def mazur_report(N: int, k: int, ell_range) -> MazurReport:
             dropped.append((ell, "no comparison primes below the bound"))
             continue
         try:
-            cliques = _collision_cliques(N, k, ell, node_info, qs)
+            mapping = orbit_class_map(N, k, ell, nodes)
         except DomainError as exc:
             dropped.append((ell, str(exc)))
             continue
         used.append(ell)
         witnesses.append((ell, comparison))
-        ell_edges = set()
-        for hits in cliques:
-            for i in range(len(hits)):
-                for j in range(i + 1, len(hits)):
-                    ell_edges.add((hits[i], hits[j]))
+        ell_edges = {
+            (labels[i], labels[j]) for hits in mapping.values() for i, j in combinations(hits, 2)
+        }
         for u, v in sorted(ell_edges):
             graph.add_edge(u, v, ell)
             edges.append((u, v, ell))
@@ -224,7 +199,7 @@ def mazur_report(N: int, k: int, ell_range) -> MazurReport:
     return MazurReport(
         N=N,
         k=k,
-        nodes=tuple(label for label, _, _ in node_info),
+        nodes=tuple(labels),
         characteristics_used=tuple(used),
         characteristics_dropped=tuple(dropped),
         witnesses=tuple(witnesses),
@@ -233,3 +208,34 @@ def mazur_report(N: int, k: int, ell_range) -> MazurReport:
         connected=len(components) <= 1,
         graph=graph,
     )
+
+
+def chain_graph(a, b, lmax: int) -> CongruenceGraph:
+    """Congruence graph of the integral classes in the spaces of the class
+    labels ``a`` and ``b``, (N, k, index) each.  An edge joins two rational
+    classes congruent mod a prime ell <= lmax, as found through their
+    reductions, and carries the best lifting-theorem verdict for the image of
+    the left class."""
+    classes = [
+        cls for N, k in dict.fromkeys([a[:2], b[:2]]) for cls in integral_classes(N, k).classes
+    ]
+    graph = CongruenceGraph()
+    for cls in classes:
+        graph.add_node("%d.%d.%d" % cls.label)
+    for ell in primes_up_to(lmax):
+        for ca, cb in combinations(classes, 2):
+            if not weight_compatible(ca.k, cb.k, ell):
+                continue
+            try:
+                found = reduced_congruence(ca, cb, ell, witness_bound(ca.N, ca.k))
+            except DomainError:  # no comparison primes below the pair's bound
+                continue
+            if found is None or not found[1].certified:
+                continue
+            ra, edge = found
+            context = EdgeContext(ell=ell, image=classify_image(ra), weights=(ca.k, cb.k))
+            graph.add_edge(
+                edge.left, edge.right, ell, label=f"{edge.left}~{edge.right}",
+                verdict=best_verdict(context),
+            )
+    return graph

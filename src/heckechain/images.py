@@ -32,9 +32,12 @@ class ImageClass:
         return f"{self.kind}({self.parameter})"
 
 
+def witness_bound(N: int, k: int) -> int:
+    return max(50, 2 * sturm_bound(N, k))
+
+
 def witness_primes(N: int, k: int, ell: int) -> list[int]:
-    bound = max(50, 2 * sturm_bound(N, k))
-    return [q for q in primes_up_to(bound) if (N * ell) % q]
+    return [q for q in primes_up_to(witness_bound(N, k)) if (N * ell) % q]
 
 
 def candidate_discriminants(N: int, ell: int) -> list[int]:

@@ -24,7 +24,7 @@ import sympy
 from . import polys
 from .arith import DomainError, crt_pair, is_prime, next_prime, primes_up_to, symmetric_lift
 from .dims import dim_cusp_forms
-from .eigensystems import Eigensystem, charpoly_halved, decompose, operator_primes, sturm_bound
+from .eigensystems import Eigensystem, charpoly_halved, decompose, sturm_bound
 from .gf import field
 
 _MAX_ANCHOR_TRIES = 25
@@ -120,6 +120,12 @@ def _z_factors(coeffs: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
 
 
+def base_primes(N: int, k: int) -> list[int]:
+    """Primes up to the Sturm bound away from the level; their integer
+    factors identify the orbit classes at (N, k)."""
+    return [q for q in primes_up_to(sturm_bound(N, k)) if N % q]
+
+
 def _divides_mod(f: polys.Poly, F: tuple[int, ...], ell: int) -> bool:
     Fl = field(ell)
     red = polys.trim(c % ell for c in F)
@@ -174,7 +180,7 @@ class IntegralClasses:
     def __init__(self, N: int, k: int):
         self.N = N
         self.k = k
-        self.base_primes = [q for q in primes_up_to(sturm_bound(N, k)) if N % q]
+        self.base_primes = base_primes(N, k)
         self._lifts: dict[int, tuple[int, ...]] = {}
         self._factors: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         self._class_factor: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -193,7 +199,14 @@ class IntegralClasses:
             self._factors[q] = _z_factors(self._lifts[q])
         return self._lifts[q]
 
-    def _anchor_ok(self, ell: int) -> list[list[Eigensystem]] | None:
+    def _matching_factors(self, s: Eigensystem, q: int, ell: int) -> list[tuple[int, ...]]:
+        """Integer factors at q whose reduction mod ell the minimal polynomial
+        of the mod-ell system s divides."""
+        return [F for F, _ in self._factors[q] if _divides_mod(s.min_poly(q), F, ell)]
+
+    def _anchor_ok(self, ell: int) -> dict[tuple, list[Eigensystem]] | None:
+        """The orbits mod ell grouped by their integer factors at the base
+        primes, or None when ell cannot anchor the classes."""
         if ell in self.base_primes:
             return None
         try:
@@ -208,11 +221,7 @@ class IntegralClasses:
         for s in systems:
             key = []
             for q in self.base_primes:
-                hits = [
-                    F
-                    for F, _ in self._factors[q]
-                    if _divides_mod(s.min_poly(q), F, ell)
-                ]
+                hits = self._matching_factors(s, q, ell)
                 if len(hits) != 1:
                     return None
                 key.append(hits[0])
@@ -221,7 +230,7 @@ class IntegralClasses:
             mults = {m.multiplicity for m in members}
             if len(mults) != 1:
                 return None
-        return [groups[key] for key in sorted(groups.keys())]
+        return groups
 
     def _build(self) -> None:
         if dim_cusp_forms(self.N, self.k) == 0:
@@ -233,36 +242,22 @@ class IntegralClasses:
             tries += 1
             if tries > _MAX_ANCHOR_TRIES:
                 raise DomainError("no anchor characteristic produced a clean grouping")
-            grouped = self._anchor_ok(ell)
-            if grouped is None:
-                self.dropped.append(ell)
-                continue
-            self.anchor = ell
-            self._anchor_groups = grouped
-            break
+            groups = self._anchor_ok(ell)
+            if groups is not None:
+                break
+            self.dropped.append(ell)
+        self.anchor = ell
 
-        drafts = []
-        for members in self._anchor_groups:
-            d0 = sum(m.degree for m in members)
-            mult = members[0].multiplicity
-            factors = {}
-            for q in self.base_primes:
-                hits = [
-                    F
-                    for F, _ in self._factors[q]
-                    if _divides_mod(members[0].min_poly(q), F, self.anchor)
-                ]
-                factors[q] = hits[0]
-            drafts.append((d0, mult, factors, members))
-        drafts.sort(key=lambda t: (t[0], [t[2][q] for q in sorted(t[2])]))
-        self._anchor_groups = [d[3] for d in drafts]
-        for i, (d0, mult, factors, _) in enumerate(drafts):
+        # Classes ordered by degree, then by their factors at the base primes.
+        ordered = sorted(groups.items(), key=lambda g: (sum(m.degree for m in g[1]), g[0]))
+        for i, (key, members) in enumerate(ordered):
+            self._anchor_groups.append(members)
             cls = IntegralOrbitClass(
-                N=self.N, k=self.k, index=i,
-                degree=d0, multiplicity=mult, anchor=self.anchor, _parent=self,
+                N=self.N, k=self.k, index=i, degree=sum(m.degree for m in members),
+                multiplicity=members[0].multiplicity, anchor=ell, _parent=self,
             )
             self.classes.append(cls)
-            for q, F in factors.items():
+            for q, F in zip(self.base_primes, key):
                 self._class_factor[(i, q)] = F
 
     # -- queries ------------------------------------------------------------
@@ -281,7 +276,7 @@ class IntegralClasses:
             if tries > _MAX_ANCHOR_TRIES:
                 break
             try:
-                mapping = orbit_class_map(self.N, self.k, ell)
+                mapping = orbit_class_map(self.N, self.k, ell, self.classes)
             except DomainError:
                 continue
             if any(len(v) != 1 for v in mapping.values()):
@@ -309,9 +304,7 @@ class IntegralClasses:
         else:
             ell_ref = self.anchor
             rep = self._anchor_groups[index][0]
-        hits = [
-            F for F, _ in self._factors[q] if _divides_mod(rep.min_poly(q), F, ell_ref)
-        ]
+        hits = self._matching_factors(rep, q, ell_ref)
         if len(hits) != 1:
             raise DomainError(f"ambiguous integer factor assignment at {q}")
         self._class_factor[(index, q)] = hits[0]
@@ -364,27 +357,25 @@ def reduce_class_mod(cls: IntegralOrbitClass, ell: int, bound: int) -> ReducedIn
     )
 
 
-def orbit_class_map(N: int, k: int, ell: int) -> dict[int, list[int]]:
-    """Map each mod-ell orbit index to the integral classes compatible with
-    it; several hits mean the classes collide (are congruent) mod ell."""
-    container = integral_classes(N, k)
+def orbit_class_map(N: int, k: int, ell: int, classes) -> dict[int, list[int]]:
+    """Map each mod-ell orbit index at level N to the positions in ``classes``
+    (integral classes at N or at divisors of N) of the classes compatible
+    with it; several hits mean the classes collide (are congruent) mod ell."""
     systems = decompose(N, k, ell)
     if sum(s.block_dim for s in systems) != 2 * dim_cusp_forms(N, k):
         raise DomainError("dimension anomaly at this characteristic")
+    qs = base_primes(N, k)
     out: dict[int, list[int]] = {}
     for s in systems:
-        hits = []
-        for cls in container.classes:
-            ok = True
-            for q in container.base_primes:
-                if q == ell or q == container.anchor:
-                    continue
-                F = container.factor_for(cls.index, q)
-                if not _divides_mod(s.min_poly(q), F, ell):
-                    ok = False
-                    break
-            if ok:
-                hits.append(cls.index)
+        hits = [
+            i
+            for i, cls in enumerate(classes)
+            if all(
+                _divides_mod(s.min_poly(q), cls.factor_at(q), ell)
+                for q in qs
+                if q not in (ell, cls.anchor)
+            )
+        ]
         if not hits:
             raise DomainError("orbit matches no integral class at this characteristic")
         out[s.index] = hits

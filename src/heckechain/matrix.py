@@ -118,36 +118,6 @@ def poly_of_matrix(f: Poly, a: np.ndarray, p: int) -> np.ndarray:
 GMat = list[list[int]]
 
 
-def gmat(F: FiniteField, rows) -> GMat:
-    return [list(r) for r in rows]
-
-
-def gmat_from_np(a: np.ndarray) -> GMat:
-    # Prime-field residues encode identically inside any extension of F_p.
-    return [[int(x) for x in row] for row in a]
-
-
-def gidentity(F: FiniteField, n: int) -> GMat:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def gmat_mul(F: FiniteField, A: GMat, B: GMat) -> GMat:
-    n, m = len(A), len(B[0]) if B else 0
-    inner = len(B)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(inner):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    if Bt[j]:
-                        row[j] = F.add(row[j], F.mul(a, Bt[j]))
-    return out
-
-
 def gmat_sub_scalar(F: FiniteField, A: GMat, c: int) -> GMat:
     out = [list(r) for r in A]
     for i in range(len(out)):

@@ -159,11 +159,6 @@ class GoodDihedralPair:
     q: int
 
 
-def level_raising_condition(q: int, ell: int, a_q: int) -> bool:
-    """a_q must vanish with q = -1 mod ell for the Steinberg raise at q."""
-    return q % ell == ell - 1 and a_q == 0
-
-
 # Scan state per (bound, p): primes q found so far in order, next t offset.
 _PAIR_CACHE: dict[tuple[int, int], dict] = {}
 

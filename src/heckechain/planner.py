@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Union
 
-from .arith import DomainError, is_prime, next_prime
+from .arith import DomainError, factorize, is_prime, next_prime
 from .images import ImageClass
 from .mlt import (
     EdgeContext,
@@ -186,17 +186,6 @@ def _next_prime_where(start: int, ok) -> int:
     return p
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
-
-
 def _step(desc, name, ell, audit, weights, conductor=None, verdict=None, **changes):
     ctx = _context(desc, ell, weights)
     if verdict is None:
@@ -299,7 +288,7 @@ def _move_kill_tame_part(desc: SystemDescriptor, bound: int) -> PlanStep:
         and not lt.wild
         and lt.char_order > 1
     }
-    mod = min(_smallest_prime_factor(lt.char_order) for lt in tame.values())
+    mod = min(min(factorize(lt.char_order)) for lt in tame.values())
     conductor = dict(desc.conductor)
     for q, lt in tame.items():
         order = lt.char_order

@@ -9,9 +9,12 @@ the input, so factor order and the factors themselves are reproducible.
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-from .arith import DomainError
-from .gf import FiniteField
+from .arith import DomainError, is_prime
+
+if TYPE_CHECKING:
+    from .gf import FiniteField
 
 Poly = tuple[int, ...]
 
@@ -27,10 +30,6 @@ def trim(coeffs) -> Poly:
 
 def degree(f: Poly) -> int:
     return len(f) - 1  # zero polynomial gets -1
-
-
-def constant(F: FiniteField, c: int) -> Poly:
-    return (c,) if c else ()
 
 
 def add(F: FiniteField, f: Poly, g: Poly) -> Poly:
@@ -100,6 +99,16 @@ def gcd(F: FiniteField, f: Poly, g: Poly) -> Poly:
     return monic(F, f)
 
 
+def xgcd(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Monic gcd d of f and g, not both zero, with s such that s*f = d mod g."""
+    r0, r1, s0, s1 = f, g, (1,), ()
+    while r1:
+        q, r = divmod_poly(F, r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, sub(F, s0, mul(F, q, s1))
+    c = F.inv(r0[-1])
+    return scale(F, c, r0), scale(F, c, s0)
+
+
 def pow_mod(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
     result: Poly = (1,)
     f = mod(F, f, m)
@@ -132,15 +141,11 @@ def is_irreducible(F: FiniteField, f: Poly) -> bool:
     xq = pow_mod(F, X, q**d, f)
     if sub(F, xq, X):
         return False
-    for r in {r for r in range(2, d + 1) if d % r == 0 and _is_prime_small(r)}:
+    for r in {r for r in range(2, d + 1) if d % r == 0 and is_prime(r)}:
         g = gcd(F, sub(F, pow_mod(F, X, q ** (d // r), f), X), f)
         if degree(g) > 0:
             return False
     return True
-
-
-def _is_prime_small(n: int) -> bool:
-    return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
 
 
 def _pth_root(F: FiniteField, a: int) -> int:

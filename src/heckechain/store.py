@@ -73,12 +73,17 @@ class Store:
             return None
         path = self._path(kind, params)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
-        entry = json.loads(raw)
-        if entry.get("format") != FORMAT_VERSION:
+        try:
+            entry = json.loads(raw)
+        except ValueError as exc:
+            raise DomainError(f"cache entry {path} is not valid JSON: {exc}") from exc
+        if isinstance(entry, dict) and entry.get("format") != FORMAT_VERSION:
             return None
+        if not isinstance(entry, dict) or "payload" not in entry:
+            raise DomainError(f"cache entry {path} has no payload")
         if checksum_of(entry["payload"]) != entry.get("checksum"):
             raise DomainError(f"cache entry {path} failed its checksum")
         return entry["payload"]

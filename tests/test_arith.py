@@ -13,9 +13,7 @@ from heckechain.arith import (
     kronecker,
     legendre,
     next_prime,
-    prime_range,
     primes_up_to,
-    radical,
     symmetric_lift,
 )
 
@@ -35,11 +33,6 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-
-
-def test_prime_range_inclusive():
-    assert prime_range(10, 30) == [11, 13, 17, 19, 23, 29]
-    assert prime_range(7, 7) == [7]
 
 
 def test_next_prime():
@@ -64,7 +57,6 @@ def test_divisors_and_phi():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert euler_phi(1) == 1
     assert euler_phi(12) == 4
-    assert radical(72) == 6
     for n in range(1, 200):
         assert euler_phi(n) == sum(1 for a in range(1, n + 1) if ext_gcd(a, n)[0] == 1)
 

@@ -177,6 +177,17 @@ def test_cache_hits_render_identically(capsys, tmp_path):
     assert any(tmp_path.iterdir())
 
 
+def test_corrupt_cache_entry_is_a_domain_error(capsys, tmp_path):
+    argv = ("--cache-dir", str(tmp_path), "space", "11", "2", "7")
+    assert run(capsys, *argv)[0] == 0
+    (path,) = tmp_path.glob("space_*.json")
+    path.write_text(path.read_text()[:30])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cache entry {path} is not valid JSON")
+
+
 def test_cached_plan_renders_identically(capsys, tmp_path):
     delta = tmp_path / "delta.json"
     delta.write_text(json.dumps({"weight": 12, "conductor": {}}))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,6 +59,19 @@ def test_inverse_and_division(data):
     assert F.div(a, a) == F.from_int(1)
 
 
+def test_inverse_of_every_element_and_of_samples_in_a_large_field():
+    for p, d in [(2, 4), (3, 3), (5, 2)]:
+        F = field(p, d)
+        for a in range(1, F.order):
+            assert F.mul(a, F.inv(a)) == 1
+    F = field(7, 18)
+    rng = random.Random(18)
+    for a in [1, 7, F.order - 1] + [rng.randrange(1, F.order) for _ in range(20)]:
+        inv = F.inv(a)
+        assert F.mul(a, inv) == 1
+        assert inv == F.pow(a, F.order - 2)
+
+
 @settings(max_examples=100)
 @given(field_and_elements(count=2))
 def test_frobenius_is_pth_power_homomorphism(data):
@@ -71,7 +86,7 @@ def test_frobenius_is_pth_power_homomorphism(data):
 def test_prime_subfield_detection():
     F = field(7, 2)
     fixed = [a for a in F.elements() if F.frobenius(a) == a]
-    assert sorted(fixed) == sorted(a for a in F.elements() if F.in_prime_subfield(a))
+    assert sorted(fixed) == sorted(a for a in F.elements() if a < F.p)
     assert len(fixed) == 7
 
 

@@ -110,9 +110,9 @@ def test_old_classes_deduplicated_at_composite_level():
 
 def test_orbit_class_map_covers_systems_and_classes():
     for N, k, ell in [(23, 2, 5), (23, 2, 7), (37, 2, 5), (67, 2, 7)]:
-        mapping = orbit_class_map(N, k, ell)
-        systems = decompose(N, k, ell)
         classes = integral_classes(N, k).classes
+        mapping = orbit_class_map(N, k, ell, classes)
+        systems = decompose(N, k, ell)
         assert set(mapping) == {s.index for s in systems}
         covered = {i for ids in mapping.values() for i in ids}
         assert covered == set(range(len(classes)))
@@ -121,7 +121,7 @@ def test_orbit_class_map_covers_systems_and_classes():
 def test_orbit_class_map_tracks_a_split_orbit():
     # The quadratic orbit at level 23 splits into two rational systems mod 11
     # (its discriminant 5 is a square there); both point back to one class.
-    mapping = orbit_class_map(23, 2, 11)
+    mapping = orbit_class_map(23, 2, 11, integral_classes(23, 2).classes)
     systems = decompose(23, 2, 11)
     assert len(systems) == 2
     assert all(s.degree == 1 for s in systems)

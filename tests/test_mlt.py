@@ -15,7 +15,6 @@ from heckechain.mlt import (
     check_mlt3,
     check_mlt4,
     find_good_dihedral,
-    level_raising_condition,
 )
 
 LARGE = ImageClass("Large")
@@ -138,13 +137,6 @@ def test_best_verdict_prefers_assumption_free_then_lowest():
     # When only assumed verdicts remain, lowest theorem number wins.
     ctx = EdgeContext(ell=11, image=LARGE, weights=(12, 2))
     assert best_verdict(ctx).theorem == 1
-
-
-def test_level_raising_condition():
-    assert level_raising_condition(13, 7, 0)
-    assert not level_raising_condition(13, 7, 1)
-    assert not level_raising_condition(11, 7, 0)
-    assert level_raising_condition(10, 11, 0)
 
 
 def good_dihedral_conditions(pair, bound, forbidden=()):

@@ -42,6 +42,15 @@ def test_gcd_divides_both(data):
         assert r == ()
 
 
+@settings(max_examples=150)
+@given(poly_pair())
+def test_xgcd_bezout_coefficient(data):
+    F, f, g = data
+    d, s = polys.xgcd(F, f, g)
+    assert d == polys.gcd(F, f, g)
+    assert polys.mod(F, polys.sub(F, polys.mul(F, s, f), d), g) == ()
+
+
 @settings(max_examples=100)
 @given(poly_pair())
 def test_factor_reconstructs_monic_input(data):

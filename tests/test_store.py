@@ -73,13 +73,22 @@ def test_store_rejects_unknown_kind(tmp_path):
 
 def test_tampered_entry_fails_checksum(tmp_path):
     st = Store(tmp_path)
-    st.put("space", {"dim": 2}, 11, 2, 7)
-    (path,) = [p for p in tmp_path.iterdir() if p.suffix == ".json"]
-    doc = json.loads(path.read_text())
+    path = st.put("space", {"dim": 2}, 11, 2, 7)
+    text = path.read_text()
+    doc = json.loads(text)
     doc["payload"]["dim"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DomainError, match="failed its checksum"):
-        st.get("space", 11, 2, 7)
+    tampered = json.dumps(doc)
+    del doc["payload"]
+    corruptions = [
+        (tampered, "failed its checksum"),
+        (text[:30], "is not valid JSON"),
+        (json.dumps(doc), "has no payload"),
+    ]
+    for content, message in corruptions:
+        path.write_text(content)
+        with pytest.raises(DomainError, match=message) as exc:
+            st.get("space", 11, 2, 7)
+        assert str(path) in str(exc.value)
 
 
 def test_local_type_round_trips():
