@@ -1,8 +1,9 @@
 """CLI stdout replayed against recorded golden files, byte for byte.
 
 Each file under ``tests/golden/`` holds the stdout of one ``heckechain``
-command, recorded before the library's congruence-graph and polynomial code
-was consolidated; a refactor must reproduce every one exactly.  Record a new
+command, recorded before the change that the command guards (the
+congruence-graph and polynomial consolidation, the packed extension-field
+multiply); a refactor or optimisation must reproduce every one exactly.  Record a new
 command by adding it to ``COMMANDS`` and running this file as a script from
 the repository root with ``PYTHONPATH=src``.
 """
@@ -23,6 +24,7 @@ COMMANDS = [
     ["congruences", "5", "4", "7", "4", "--lmax", "13"],
     ["congruences", "3", "6", "2", "8", "--lmax", "13"],
     ["congruences", "6", "4", "8", "4", "--lmax", "13"],
+    ["congruences", "14", "4", "14", "4", "--lmax", "13"],
     ["chain", "1.12.0", "11.2.0", "--lmax", "13", "--mlt-only"],
     ["chain", "5.4.0", "7.4.0", "--lmax", "13"],
     ["chain", "2.8.0", "3.6.0", "--lmax", "13", "--mlt-only"],
@@ -30,6 +32,9 @@ COMMANDS = [
     ["orbits", "22", "2", "7"],
     ["orbits", "67", "2", "5"],
     ["orbits", "5", "12", "13"],
+    ["orbits", "37", "6", "101"],
+    ["orbits", "11", "10", "101"],
+    ["orbits", "97", "2", "11"],
 ]
 
 
