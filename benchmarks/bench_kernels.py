@@ -1,17 +1,21 @@
-"""Time the public mod-p kernels.
+"""Time the public mod-p kernels and the extension-field multiply.
 
-Each row is the best of N calls of one kernel on a fixed input.
+Each row is the best of N calls of one kernel on a fixed input; a
+``FiniteField.mul`` row times a batch of 1000 multiplies of seeded random
+element pairs.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
+import random
 import time
 
 import numpy as np
 
 from heckechain import _kernels
 from heckechain.arith import crt_pair, legendre, primes_up_to
+from heckechain.gf import field
 from heckechain.modsym import P1List, merel_matrices
 
 
@@ -69,12 +73,32 @@ def bench_sieve(repeats):
     return [(f"sieve_scan window={count} primes<=101", best_of(scan, repeats))]
 
 
+def bench_field_mul(repeats):
+    rows = []
+    for p, d in ((7, 18), (13, 4), (101, 4)):
+        F = field(p, d)
+        rng = random.Random(p * 100 + d)
+        pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(1000)]
+
+        def batch():
+            for a, b in pairs:
+                F.mul(a, b)
+
+        rows.append((f"FiniteField.mul F_{p}^{d} x1000", best_of(batch, repeats)))
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
 
-    rows = bench_rref(args.repeats) + bench_hecke(args.repeats) + bench_sieve(args.repeats)
+    rows = (
+        bench_rref(args.repeats)
+        + bench_hecke(args.repeats)
+        + bench_sieve(args.repeats)
+        + bench_field_mul(args.repeats)
+    )
     width = max(len(label) for label, _ in rows)
     for label, t in rows:
         print(f"{label:<{width}}  {t * 1e3:9.2f} ms")

@@ -135,22 +135,17 @@ def _payload_congruences(N1, k1, N2, k2, lmax) -> dict:
             skipped.append([ell, str(exc)])
             continue
         checked.append([ell, route])
-        seen = set()
-        for e in found:
-            key = frozenset((e.left, e.right))
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(
-                {
-                    "left": e.left,
-                    "right": e.right,
-                    "ell": e.ell,
-                    "bound": e.bound,
-                    "witnesses": list(e.witnesses),
-                    "route": route,
-                }
-            )
+        edges.extend(
+            {
+                "left": e.left,
+                "right": e.right,
+                "ell": e.ell,
+                "bound": e.bound,
+                "witnesses": list(e.witnesses),
+                "route": route,
+            }
+            for e in found
+        )
     return {
         "N1": N1,
         "k1": k1,

@@ -95,18 +95,17 @@ def scan_congruences(systems_a, systems_b, ell: int) -> list[CongruenceEdge]:
     """Certified congruences between two orbit lists at one characteristic.
 
     Weight-incompatible inputs yield no edges rather than an error; a scan is
-    a survey, not an assertion that a comparison must exist.
+    a survey, not an assertion that a comparison must exist.  When both lists
+    are the same object, each unordered pair is checked once, in list order.
     """
+    pairs = combinations(systems_a, 2) if systems_a is systems_b else product(systems_a, systems_b)
     edges = []
-    for sa in systems_a:
-        for sb in systems_b:
-            if sa is sb:
-                continue
-            if not weight_compatible(sa.k, sb.k, ell):
-                continue
-            edge = check_congruence(sa, sb)
-            if edge.certified:
-                edges.append(edge)
+    for sa, sb in pairs:
+        if sa is sb or not weight_compatible(sa.k, sb.k, ell):
+            continue
+        edge = check_congruence(sa, sb)
+        if edge.certified:
+            edges.append(edge)
     return edges
 
 

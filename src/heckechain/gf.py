@@ -5,35 +5,45 @@ are the coefficients of the residue polynomial, least significant digit first.
 The defining modulus is the monic irreducible of degree d whose non-leading
 coefficient vector has the smallest integer encoding, so fields are canonical
 across runs and machines. Degree-1 fields reduce to plain mod-p arithmetic.
+
+For d > 1, ``mul`` works by Kronecker substitution (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, 8.4): each operand's base-p digits are packed
+into fixed-width slots of one Python int, least significant digit in the
+lowest slot, and the two packed ints are multiplied once.  Slot i of the
+product is the convolution coefficient of x^i, at most d(p-1)^2.  The top
+d-1 slots are reduced mod p and folded back onto the low d slots through
+packed precomputed residues of x^d, ..., x^(2d-2) mod the modulus, adding at
+most (d-1)(p-1)^2 per slot.  The slot width is the smallest of 16, 32 or 64
+bits that holds the bound 2d(p-1)^2 + p, so no slot ever carries into the
+next; a field whose bound needs more than 64 bits is refused.  Packing goes
+through a per-field table from c base-p digits to their packed value, with
+p^c <= 4096, or digit by digit when p is too large for two digits to share
+a chunk.  The low slots are read out through ``int.to_bytes`` and ``array``.
 """
 
 from __future__ import annotations
+
+import functools
+import sys
+from array import array
 
 from . import polys
 from .arith import DomainError, ext_gcd, is_prime
 
 _FIELD_CACHE: dict[tuple[int, int], "FiniteField"] = {}
+_PACK_TABLE_LIMIT = 4096
+_SLOT_TYPECODES = {array(t).itemsize * 8: t for t in "HILQ"}
 
 
-def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    # Dense little-endian product reduced by the monic modulus.  Kept apart
-    # from polys.mul/mod: FiniteField.mul is the hottest path, and going
-    # through field-element polynomials would slow it down.
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    d = len(mod) - 1
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(d):
-                out[i - d + j] = (out[i - d + j] - c * mod[j]) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def _pack_digits(digits, width: int) -> int:
+    return sum(c << (i * width) for i, c in enumerate(digits))
+
+
+@functools.cache
+def _pack_table(p: int, chunk: int, width: int) -> tuple[int, ...]:
+    """Packed value of every chunk of `chunk` base-p digits; fields of any
+    degree over F_p with the same slot width share it."""
+    return tuple(_pack_digits((v // p**j % p for j in range(chunk)), width) for v in range(p**chunk))
 
 
 def _canonical_modulus(p: int, d: int) -> tuple[int, ...]:
@@ -61,11 +71,50 @@ class FiniteField:
         self.p = p
         self.degree = degree
         self.order = p**degree
-        self.modulus: tuple[int, ...] = (
-            (0, 1) if degree == 1 else _canonical_modulus(p, degree)
-        )
+        self.modulus: tuple[int, ...] = (0, 1)
         self.zero = 0
         self.one = 1
+        if degree > 1:
+            self._init_extension()
+
+    def _init_extension(self) -> None:
+        """Canonical modulus and the packing data of ``mul``."""
+        p, d = self.p, self.degree
+        bound = 2 * d * (p - 1) ** 2 + p
+        width = next((w for w in (16, 32, 64) if bound.bit_length() <= w), None)
+        if width is None:
+            raise DomainError(
+                f"F_{p}^{d} is too large for packed multiplication: "
+                f"slot bound 2d(p-1)^2 + p has {bound.bit_length()} bits"
+            )
+        self.modulus = _canonical_modulus(p, d)
+        self._width = width
+        self._typecode = _SLOT_TYPECODES[width]
+        chunk = 1
+        while p ** (chunk + 1) <= _PACK_TABLE_LIMIT:
+            chunk += 1
+        self._chunk_base = p**chunk
+        self._chunk_bits = chunk * width
+        # A one-digit chunk packs to itself: no table, digit by digit.
+        self._pack_table = _pack_table(p, chunk, width) if chunk > 1 else None
+        # Packed x^i mod modulus for i = d .. 2d-2, built by x-shifts.
+        self._fold = []
+        r = [-c % p for c in self.modulus[:d]]
+        for _ in range(d - 1):
+            self._fold.append(_pack_digits(r, width))
+            top = r[-1]
+            r = [(x - top * m) % p for x, m in zip([0] + r[:-1], self.modulus)]
+
+    def _pack(self, a: int) -> int:
+        table, base, step = self._pack_table, self._chunk_base, self._chunk_bits
+        out = 0
+        shift = 0
+        while a:
+            a, r = divmod(a, base)
+            if r:
+                out |= (r if table is None else table[r]) << shift
+            shift += step
+        return out
 
     def __repr__(self) -> str:
         return f"FiniteField({self.p}, {self.degree})"
@@ -126,15 +175,39 @@ class FiniteField:
         return out
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.degree == 1:
+            return (a - b) % self.p
+        p = self.p
+        out = 0
+        mult = 1
+        while a or b:
+            out += (a % p - b % p) % p * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        prod = _poly_mul_mod(list(self.decode(a)), list(self.decode(b)), list(self.modulus), self.p)
-        return self.encode(prod)
+        if a <= 1 or b <= 1:
+            return a * b  # 0 and 1 need no packing
+        p, d, w = self.p, self.degree, self._width
+        pa = self._pack(a)
+        prod = pa * (pa if a == b else self._pack(b))
+        low_bits = d * w
+        high = prod >> low_bits
+        prod &= (1 << low_bits) - 1
+        if high:
+            slots = array(self._typecode, high.to_bytes((d - 1) * w // 8, sys.byteorder))
+            for c, x in zip(slots, self._fold):
+                c %= p
+                if c:
+                    prod += c * x
+        out = 0
+        for c in reversed(array(self._typecode, prod.to_bytes(low_bits // 8, sys.byteorder))):
+            out = out * p + c % p
+        return out
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

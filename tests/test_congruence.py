@@ -1,5 +1,6 @@
 import pytest
 
+from heckechain import cli, congruence
 from heckechain.arith import DomainError
 from heckechain.congruence import (
     check_congruence,
@@ -116,3 +117,26 @@ def test_higher_degree_congruence_uses_embeddings():
     s = decompose(23, 2, 7)[0]
     edge = check_congruence(s, s)
     assert edge.certified
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["congruences", "37", "2", "37", "2", "--lmax", "13"], 4),
+        (["congruences", "14", "4", "14", "4", "--lmax", "13"], 9),
+    ],
+)
+def test_same_space_scan_checks_each_pair_once(argv, calls, monkeypatch, capsys):
+    seen = []
+    original = congruence.check_congruence
+
+    def counting(sys_a, sys_b, bound=None):
+        seen.append((sys_a.label, sys_b.label, sys_a.ell))
+        return original(sys_a, sys_b, bound)
+
+    monkeypatch.setattr(congruence, "check_congruence", counting)
+    monkeypatch.delenv("HECKECHAIN_CACHE_DIR", raising=False)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
+    assert len({(frozenset(pair), ell) for *pair, ell in seen}) == calls

@@ -6,7 +6,32 @@ from hypothesis import given, settings, strategies as st
 from heckechain.arith import DomainError
 from heckechain.gf import field
 
-FIELDS = [(5, 1), (5, 2), (7, 2), (11, 3), (13, 1), (13, 2)]
+FIELDS = [(5, 1), (5, 2), (7, 2), (11, 3), (13, 1), (13, 2), (7, 18), (2, 8)]
+
+
+def poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    """Schoolbook product of little-endian digit lists, reduced by the monic
+    modulus: the reference for the packed FiniteField.mul."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    d = len(mod) - 1
+    for i in range(len(out) - 1, d - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(d):
+                out[i - d + j] = (out[i - d + j] - c * mod[j]) % p
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def reference_mul(F, a: int, b: int) -> int:
+    prod = poly_mul_mod(list(F.decode(a)), list(F.decode(b)), list(F.modulus), F.p)
+    return F.encode(prod)
 
 
 @st.composite
@@ -45,6 +70,40 @@ def test_ring_axioms(data):
     assert F.add(a, F.neg(a)) == 0
     assert F.sub(a, b) == F.add(a, F.neg(b))
     assert F.mul(a, F.from_int(1)) == a
+
+
+def test_packed_mul_matches_schoolbook_on_every_pair_of_small_fields():
+    for p, d in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]:
+        F = field(p, d)
+        for a in F.elements():
+            for b in F.elements():
+                assert F.mul(a, b) == reference_mul(F, a, b), (p, d, a, b)
+
+
+@pytest.mark.parametrize(
+    "p, d, width",
+    [(2, 20, 16), (7, 18, 16), (13, 6, 16), (101, 3, 16), (101, 4, 32), (4099, 2, 32)],
+)
+def test_packed_mul_matches_schoolbook_on_random_pairs(p, d, width):
+    # The fields cover p = 2 (12-digit table chunks), a large degree, both
+    # slot widths on either side of the 2^16 bound, and p > 64, where a chunk
+    # holds one digit and packing needs no table.
+    F = field(p, d)
+    assert F._width == width
+    assert (F._pack_table is None) == (p > 64)
+    rng = random.Random(p * 100 + d)
+    edge = [0, 1, p - 1, p, F.order - 1]
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
+    for a, b in pairs:
+        assert F.mul(a, b) == reference_mul(F, a, b), (a, b)
+
+
+def test_field_beyond_64_bit_slots_is_refused():
+    # 2d(p-1)^2 + p has 65 bits for p = 2147483659, d = 2.
+    with pytest.raises(DomainError, match="too large"):
+        field(2147483659, 2)
+    assert field(2147483659).mul(3, 5) == 15
 
 
 @settings(max_examples=200)
