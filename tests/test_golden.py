@@ -3,9 +3,11 @@
 Each file under ``tests/golden/`` holds the stdout of one ``heckechain``
 command, recorded before the change that the command guards (the
 congruence-graph and polynomial consolidation, the packed extension-field
-multiply); a refactor or optimisation must reproduce every one exactly.  Record a new
-command by adding it to ``COMMANDS`` and running this file as a script from
-the repository root with ``PYTHONPATH=src``.
+multiply, the F_ell minimal polynomials); a refactor or optimisation must
+reproduce every one exactly.  Record a new command by adding it to
+``COMMANDS`` and running this file as a script from the repository root with
+``PYTHONPATH=src``.  A ``.json`` argument names a descriptor file in
+``tests/golden/``.
 """
 
 import re
@@ -19,12 +21,13 @@ from heckechain import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = [
-    *[["graph", str(N), "2", "--lmax", "50"] for N in (11, 22, 33, 37, 67)],
+    *[["graph", str(N), "2", "--lmax", "50"] for N in (11, 22, 33, 37, 44, 57, 67)],
     ["congruences", "1", "12", "11", "2", "--lmax", "13"],
     ["congruences", "5", "4", "7", "4", "--lmax", "13"],
     ["congruences", "3", "6", "2", "8", "--lmax", "13"],
     ["congruences", "6", "4", "8", "4", "--lmax", "13"],
     ["congruences", "14", "4", "14", "4", "--lmax", "13"],
+    ["congruences", "23", "2", "29", "2", "--lmax", "13"],
     ["chain", "1.12.0", "11.2.0", "--lmax", "13", "--mlt-only"],
     ["chain", "5.4.0", "7.4.0", "--lmax", "13"],
     ["chain", "2.8.0", "3.6.0", "--lmax", "13", "--mlt-only"],
@@ -35,6 +38,9 @@ COMMANDS = [
     ["orbits", "37", "6", "101"],
     ["orbits", "11", "10", "101"],
     ["orbits", "97", "2", "11"],
+    ["plan", "delta.json", "--bound", "10"],
+    ["plan", "messy.json", "--bound", "20"],
+    ["connect", "delta.json", "messy.json", "--bound", "20"],
 ]
 
 
@@ -42,8 +48,12 @@ def golden_path(argv: list[str]) -> Path:
     return GOLDEN / (re.sub(r"[^0-9A-Za-z.]+", "_", " ".join(argv)) + ".txt")
 
 
+def resolved(argv: list[str]) -> list[str]:
+    return [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+
+
 def stdout_of(argv: list[str], capsys) -> str:
-    assert cli.main(argv) == 0
+    assert cli.main(resolved(argv)) == 0
     return capsys.readouterr().out
 
 
@@ -60,6 +70,6 @@ if __name__ == "__main__":
     for argv in COMMANDS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            if cli.main(argv) != 0:
+            if cli.main(resolved(argv)) != 0:
                 sys.exit(f"{' '.join(argv)} failed")
         golden_path(argv).write_text(out.getvalue(), encoding="utf-8")
