@@ -40,9 +40,9 @@ class CongruenceEdge:
     first_mismatch: int | None
 
 
-def comparison_primes(N1: int, k1: int, N2: int, k2: int, ell: int) -> list[int]:
-    b = cross_bound(N1, k1, N2, k2)
-    return [q for q in primes_up_to(b) if (N1 * N2) % q and q != ell]
+def comparison_primes(N1: int, N2: int, ell: int, bound: int) -> list[int]:
+    """Primes up to bound that divide neither level and differ from ell."""
+    return [q for q in primes_up_to(bound) if (N1 * N2) % q and q != ell]
 
 
 def check_congruence(sys_a, sys_b, bound: int | None = None) -> CongruenceEdge:
@@ -57,7 +57,7 @@ def check_congruence(sys_a, sys_b, bound: int | None = None) -> CongruenceEdge:
             f"their difference must vanish modulo {ell - 1}"
         )
     b = cross_bound(sys_a.N, sys_a.k, sys_b.N, sys_b.k) if bound is None else bound
-    qs = [q for q in primes_up_to(b) if (sys_a.N * sys_b.N) % q and q != ell]
+    qs = comparison_primes(sys_a.N, sys_b.N, ell, b)
     if not qs:
         raise DomainError("no usable comparison primes below the bound")
     # Collect values first; lazy queries may enlarge the systems' fields.

@@ -2,11 +2,12 @@
 
 Blocks are generalized eigenspaces carved out by the operators at primes up to
 the Sturm bound that avoid the level and the working characteristic. Each
-block carries one orbit; a canonical member is pinned down by repeatedly
-refining a simultaneous eigenspace, always taking the smallest available
-eigenvalue in the working extension field. Eigenvalues at primes beyond the
-base bound are computed lazily, enlarging the field when a new operator's
-restriction has no eigenvalue in it.
+block carries one orbit. Its degree, multiplicity and the minimal polynomial
+of its eigenvalue at every prime come from F_ell linear algebra on the block.
+The eigenvalues a(q), the working field and (for now) `semisimple` come from
+the extension field: a canonical member is pinned down by repeatedly refining
+a simultaneous eigenspace, always taking the smallest available eigenvalue,
+and enlarging the field when an operator's restriction has no eigenvalue in it.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ def operator_primes(N: int, k: int, ell: int, bound: int | None = None) -> list[
 class Eigensystem:
     """One Galois orbit of Hecke eigenvalues on a cuspidal space mod ell.
 
-    Identity (degree, minimal polynomials at the base primes, index) is fixed
-    at construction; eigenvalue queries beyond the base bound refine the
-    stored eigenvector and may enlarge the working field.
+    Degree, multiplicity and the base primes' minimal polynomials come from
+    the split; `min_poly` elsewhere restricts T_q to the block over F_ell.
+    Eigenvalue queries refine the stored eigenvector and may enlarge the field.
     """
 
     def __init__(
@@ -57,7 +58,6 @@ class Eigensystem:
         space: ModularSymbolSpace,
         block_basis: np.ndarray,
         minpolys: dict[int, polys.Poly],
-        base_primes: list[int],
     ):
         self.N = space.N
         self.k = space.k
@@ -69,10 +69,11 @@ class Eigensystem:
                 "block dimension is incompatible with the orbit degree"
             )
         self.multiplicity = self.block_dim // (2 * self.degree)
-        self.base_primes = list(base_primes)
+        self.base_primes = list(minpolys)
         self.index = -1
         self.is_old = False
         self._space = space
+        self._basis = block_basis
         self._K = field(self.ell, self.degree)
         self._minpolys = dict(minpolys)
         self._eigen: dict[int, int] = {}
@@ -104,34 +105,29 @@ class Eigensystem:
 
     def a(self, q: int) -> int:
         """Eigenvalue at q as an element encoding in self.field."""
-        if q in self._eigen:
-            return self._eigen[q]
+        if q not in self._eigen:
+            self._check_prime(q)
+            self._refine(q)
+        return self._eigen[q]
+
+    def min_poly(self, q: int) -> polys.Poly:
+        """Minimal polynomial of a(q) over the prime field: the one irreducible
+        factor of the charpoly of T_q restricted to the block."""
+        if q not in self._minpolys:
+            self._check_prime(q)
+            _, fac = _block_factors(self._space.hecke_matrix(q), self._basis, self.ell)
+            if len(fac) != 1:
+                raise DomainError(f"the operator at {q} splits the orbit's block")
+            self._minpolys[q] = fac[0][0]
+        return self._minpolys[q]
+
+    def _check_prime(self, q: int) -> None:
         if not is_prime(q):
             raise DomainError("eigenvalues are indexed by primes")
         if self.N % q == 0:
             raise DomainError("eigenvalue at a prime dividing the level")
         if q == self.ell:
             raise DomainError("eigenvalue at the working characteristic")
-        self._refine(q)
-        return self._eigen[q]
-
-    def min_poly(self, q: int) -> polys.Poly:
-        """Minimal polynomial of a(q) over the prime field."""
-        if q not in self._minpolys:
-            a = self.a(q)
-            K = self._K
-            conj = [a]
-            x = K.frobenius(a)
-            while x != a:
-                conj.append(x)
-                x = K.frobenius(x)
-            f: polys.Poly = (1,)
-            for c in conj:
-                f = polys.mul(K, f, (K.neg(c), 1))
-            if any(c >= self.ell for c in f):
-                raise DomainError("minimal polynomial has coefficients outside the prime field")
-            self._minpolys[q] = tuple(int(c) for c in f)
-        return self._minpolys[q]
 
     # -- internal refinement ---------------------------------------------------
 
@@ -187,6 +183,13 @@ class Eigensystem:
         self._K = K2
 
 
+def _block_factors(M: np.ndarray, basis: np.ndarray, ell: int):
+    """Matrix of M restricted to the invariant subspace spanned by the columns
+    of basis over F_ell, and the factorisation of its charpoly."""
+    R = solve_columns(basis, matmul_mod(M, basis, ell), ell)
+    return R, polys.factor(field(ell), charpoly_mod(R, ell))
+
+
 _DECOMPOSE_CACHE: dict[tuple[int, int, int], list[Eigensystem]] = {}
 
 
@@ -202,35 +205,28 @@ def decompose(N: int, k: int, ell: int) -> list[Eigensystem]:
         return _DECOMPOSE_CACHE[key]
     space = symbol_space(N, k, ell)
     qs = operator_primes(N, k, ell)
-    Fl = field(ell)
     n = space.cuspidal_dim
-    blocks = [np.eye(n, dtype=np.int64)] if n else []
+    # Each block carries the minimal polynomial of every operator so far.
+    blocks = [(np.eye(n, dtype=np.int64), {})] if n else []
     for q in qs:
         M = space.hecke_matrix(q)
         nxt = []
-        for basis in blocks:
-            R = solve_columns(basis, matmul_mod(M, basis, ell), ell)
-            fac = polys.factor(Fl, charpoly_mod(R, ell))
+        for basis, minpolys in blocks:
+            R, fac = _block_factors(M, basis, ell)
             if len(fac) == 1:
-                nxt.append(basis)
+                nxt.append((basis, {**minpolys, q: fac[0][0]}))
                 continue
             for f, mult in fac:
                 P = poly_of_matrix(f, R, ell)
                 Pm = np.eye(R.shape[0], dtype=np.int64)
                 for _ in range(mult):
                     Pm = matmul_mod(Pm, P, ell)
-                nxt.append(matmul_mod(basis, right_kernel(Pm, ell), ell))
+                child = matmul_mod(basis, right_kernel(Pm, ell), ell)
+                if child.shape[1] != mult * polys.degree(f):
+                    raise DomainError("block splitting failed to isolate a single factor")
+                nxt.append((child, {**minpolys, q: f}))
         blocks = nxt
-    systems = []
-    for basis in blocks:
-        minpolys: dict[int, polys.Poly] = {}
-        for q in qs:
-            R = solve_columns(basis, matmul_mod(space.hecke_matrix(q), basis, ell), ell)
-            fac = polys.factor(Fl, charpoly_mod(R, ell))
-            if len(fac) != 1:
-                raise DomainError("block splitting failed to isolate a single factor")
-            minpolys[q] = fac[0][0]
-        systems.append(Eigensystem(space, basis, minpolys, qs))
+    systems = [Eigensystem(space, basis, minpolys) for basis, minpolys in blocks]
     systems.sort(key=lambda s: (s.degree, [s._minpolys[q] for q in qs]))
     for i, s in enumerate(systems):
         s.index = i

@@ -17,6 +17,7 @@ does not single out one reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, isqrt
 
 import sympy
@@ -59,48 +60,25 @@ def lift_charpoly(N: int, k: int, q: int) -> tuple[int, ...]:
     D = dim_cusp_forms(N, k)
     if D == 0:
         return (1,)
-    bound = _coefficient_bound(D, k, q)
-
-    residues: list[tuple[int, tuple[int, ...]]] = []
-    dropped: list[int] = []
-    combined: tuple[int, ...] | None = None
-
-    def crt_all() -> tuple[int, ...] | None:
-        if not residues:
-            return None
-        acc = list(residues[0][1])
-        mod = residues[0][0]
-        for ell, coeffs in residues[1:]:
-            acc = [crt_pair(a, mod, c, ell)[0] for a, c in zip(acc, coeffs)]
-            mod *= ell
-        return tuple(symmetric_lift(a, mod) for a in acc)
-
-    produced = 0
-    need_product = 2 * bound
-    prod = 1
+    need_product = 2 * _coefficient_bound(D, k, q)
+    # Running CRT: the coefficients modulo mod, the product of the ells used.
+    acc = [0] * (D + 1)
+    mod = 1
     stable_seen = None
-    for ell in valid_characteristics(N, k):
-        produced += 1
-        if produced > _MAX_LIFT_PRIMES:
-            raise DomainError("could not stabilize an integer charpoly lift")
+    for ell in islice(valid_characteristics(N, k), _MAX_LIFT_PRIMES):
         if ell == q:
             continue
         try:
             cp = charpoly_halved(N, k, ell, q)
         except DomainError:
-            dropped.append(ell)
             continue
         if polys.degree(cp) != D:
-            dropped.append(ell)
             continue
-        residues.append((ell, cp))
-        prod *= ell
-        if prod <= need_product:
+        acc = [crt_pair(a, mod, c, ell)[0] for a, c in zip(acc, cp)]
+        mod *= ell
+        if mod <= need_product:
             continue
-        lifted = crt_all()
-        if stable_seen is None:
-            stable_seen = lifted
-            continue
+        lifted = tuple(symmetric_lift(a, mod) for a in acc)
         if lifted == stable_seen:
             return lifted
         stable_seen = lifted

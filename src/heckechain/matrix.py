@@ -3,6 +3,10 @@
 Prime-field matrices are numpy int64 arrays reduced mod p and go through the
 compiled kernels. Extension-field matrices stay small (eigenspace refinement
 blocks), so they are plain lists of integer-encoded field elements.
+
+Both characteristic polynomials, `charpoly_mod` and `gcharpoly`, reduce to
+upper Hessenberg form in their own representation and then share one
+recurrence over a `FiniteField`, `_hessenberg_charpoly`.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import numpy as np
 
 from ._kernels import matmul_mod, rref_mod
 from .arith import DomainError
-from .gf import FiniteField
+from .gf import FiniteField, field
 from .polys import Poly
 
 
@@ -81,25 +85,28 @@ def charpoly_mod(a: np.ndarray, p: int) -> Poly:
     n = a.shape[0]
     if a.shape != (n, n):
         raise DomainError("characteristic polynomial needs a square matrix")
-    if n == 0:
-        return (1,)
-    H = _hessenberg_mod(a, p)
-    polys: list[list[int]] = [[1]]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = [0] * (m + 1)
+    return _hessenberg_charpoly(field(p), _hessenberg_mod(a, p).tolist())
+
+
+def _hessenberg_charpoly(F: FiniteField, H: list[list[int]]) -> Poly:
+    """Monic charpoly of an upper Hessenberg matrix over F, by the recurrence
+    on its leading principal minors."""
+    minors: list[list[int]] = [[1]]
+    for m in range(1, len(H) + 1):
+        prev = minors[m - 1]
+        cur = [0, *prev]
+        h = H[m - 1][m - 1]
         for idx, co in enumerate(prev):
-            cur[idx + 1] = (cur[idx + 1] + co) % p
-            cur[idx] = (cur[idx] - int(H[m - 1, m - 1]) * co) % p
+            cur[idx] = F.sub(cur[idx], F.mul(h, co))
         t = 1
         for i in range(m - 1, 0, -1):
-            t = t * int(H[i, i - 1]) % p
-            coeff = int(H[i - 1, m - 1]) * t % p
+            t = F.mul(t, H[i][i - 1])
+            coeff = F.mul(H[i - 1][m - 1], t)
             if coeff:
-                for idx, co in enumerate(polys[i - 1]):
-                    cur[idx] = (cur[idx] - coeff * co) % p
-        polys.append(cur)
-    return tuple(polys[n])
+                for idx, co in enumerate(minors[i - 1]):
+                    cur[idx] = F.sub(cur[idx], F.mul(coeff, co))
+        minors.append(cur)
+    return tuple(minors[-1])
 
 
 def poly_of_matrix(f: Poly, a: np.ndarray, p: int) -> np.ndarray:
@@ -182,8 +189,6 @@ def gsolve_columns(F: FiniteField, C: GMat, B: GMat) -> GMat:
 
 def gcharpoly(F: FiniteField, A: GMat) -> Poly:
     n = len(A)
-    if n == 0:
-        return (1,)
     H = [list(r) for r in A]
     for m in range(1, n):
         pr = next((i for i in range(m, n) if H[i][m - 1]), -1)
@@ -200,22 +205,7 @@ def gcharpoly(F: FiniteField, A: GMat) -> Poly:
                 H[i] = [F.sub(x, F.mul(u, y)) for x, y in zip(H[i], H[m])]
                 for row in H:
                     row[m] = F.add(row[m], F.mul(u, row[i]))
-    polys: list[list[int]] = [[1]]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = [0] * (m + 1)
-        for idx, co in enumerate(prev):
-            cur[idx + 1] = F.add(cur[idx + 1], co)
-            cur[idx] = F.sub(cur[idx], F.mul(H[m - 1][m - 1], co))
-        t = 1
-        for i in range(m - 1, 0, -1):
-            t = F.mul(t, H[i][i - 1])
-            coeff = F.mul(H[i - 1][m - 1], t)
-            if coeff:
-                for idx, co in enumerate(polys[i - 1]):
-                    cur[idx] = F.sub(cur[idx], F.mul(coeff, co))
-        polys.append(cur)
-    return tuple(polys[n])
+    return _hessenberg_charpoly(F, H)
 
 
 def apply_np_to_gvecs(M: np.ndarray, vecs: list[list[int]], K: FiniteField) -> list[list[int]]:

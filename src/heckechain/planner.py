@@ -412,7 +412,7 @@ def plan_to_safe_form(
     while any(m):
         budget -= 1
         if budget < 0:
-            raise RuntimeError("planner loop exceeded move budget")
+            raise DomainError("planner loop exceeded move budget")
         if m[0]:
             step = _move_make_non_dihedral(current, bound)
         elif m[1]:
@@ -435,12 +435,12 @@ def plan_to_safe_form(
         current = step.after
         m_new = measure(current, bound)
         if not m_new < m:
-            raise RuntimeError(f"move {step.name} failed to lower the measure")
+            raise DomainError(f"move {step.name} failed to lower the measure")
         m = m_new
 
     entry = _good_dihedral_entry(current)
     if entry is None:
-        raise RuntimeError("safe form is missing its good-dihedral place")
+        raise DomainError("safe form is missing its good-dihedral place")
     pair = GoodDihedralPair(entry[1].p, entry[0])
     final_aux = [
         q
@@ -477,5 +477,5 @@ def connect(
     left = plan_to_safe_form(d1, bound, pair=pair, aux=aux)
     right = plan_to_safe_form(d2, bound, pair=pair, aux=aux)
     if left.final != right.final:
-        raise RuntimeError("plans reached different safe forms")
+        raise DomainError("plans reached different safe forms")
     return ConnectResult(left=left, right=right, pair=pair, aux=aux, final=left.final)

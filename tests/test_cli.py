@@ -1,8 +1,12 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from heckechain import cli
+from heckechain import cli, planner
+
+DESCRIPTORS = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -144,6 +148,56 @@ def test_plan_invalid_json(capsys, tmp_path):
     code, out, err = run(capsys, "plan", str(bad), "--bound", "10")
     assert code == 1
     assert "is not valid JSON" in err
+
+
+def plan_delta(capsys):
+    return run(capsys, "plan", str(DESCRIPTORS / "delta.json"), "--bound", "10")
+
+
+def test_plan_over_move_budget_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(planner, "_MOVE_BUDGET", 0)
+    code, out, err = plan_delta(capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: planner loop exceeded move budget\n"
+
+
+def test_plan_move_that_does_not_lower_the_measure_is_a_domain_error(capsys, monkeypatch):
+    measure = planner.measure
+    first = []
+
+    def stuck(desc, bound):
+        first.append(measure(desc, bound))
+        return first[0]
+
+    monkeypatch.setattr(planner, "measure", stuck)
+    code, out, err = plan_delta(capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: move to-parallel-weight-two failed to lower the measure\n"
+
+
+def test_plan_ending_without_good_dihedral_place_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(planner, "measure", lambda desc, bound: (0,))
+    code, out, err = plan_delta(capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: safe form is missing its good-dihedral place\n"
+
+
+def test_connect_with_diverging_plans_is_a_domain_error(capsys, monkeypatch):
+    plan_to_safe_form = planner.plan_to_safe_form
+    plans = []
+
+    def diverging(desc, bound, **kw):
+        plans.append(plan_to_safe_form(desc, bound, **kw))
+        return replace(plans[-1], final=desc) if len(plans) == 2 else plans[-1]
+
+    monkeypatch.setattr(planner, "plan_to_safe_form", diverging)
+    code, out, err = run(
+        capsys, "connect", *(str(DESCRIPTORS / f) for f in ("delta.json", "messy.json")),
+        "--bound", "20",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: plans reached different safe forms\n"
+    assert len(plans) == 2
 
 
 def test_output_is_deterministic(capsys):

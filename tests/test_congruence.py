@@ -89,10 +89,11 @@ def test_check_requires_usable_primes():
 
 
 def test_comparison_primes_skip_levels_and_characteristic():
-    assert comparison_primes(1, 12, 11, 2, 11) == [2, 3, 5, 7]
-    assert comparison_primes(11, 2, 23, 2, 5) == [
+    assert comparison_primes(1, 11, 11, cross_bound(1, 12, 11, 2)) == [2, 3, 5, 7]
+    assert comparison_primes(11, 23, 5, cross_bound(11, 2, 23, 2)) == [
         2, 3, 7, 13, 17, 19, 29, 31, 37, 41, 43, 47,
     ]
+    assert comparison_primes(11, 23, 5, 10) == [2, 3, 7]
 
 
 def test_scan_finds_mod_5_collision_pair():

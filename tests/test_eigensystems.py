@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from heckechain import polys
+from heckechain import eigensystems, polys
 from heckechain.arith import DomainError, primes_up_to
-from heckechain.eigensystems import decompose, operator_primes, sturm_bound
+from heckechain.eigensystems import Eigensystem, decompose, operator_primes, sturm_bound
 from heckechain.modsym import symbol_space
 
 # Integral eigenvalues of the unique newform orbits, for spot checks after
@@ -117,12 +117,13 @@ def test_block_dimensions_cover_cuspidal_space():
 
 def test_eigenvalue_preconditions():
     s = decompose(11, 2, 7)[0]
-    with pytest.raises(DomainError, match="indexed by primes"):
-        s.a(6)
-    with pytest.raises(DomainError, match="dividing the level"):
-        s.a(11)
-    with pytest.raises(DomainError, match="working characteristic"):
-        s.a(7)
+    for query in (s.a, s.min_poly):
+        with pytest.raises(DomainError, match="indexed by primes"):
+            query(6)
+        with pytest.raises(DomainError, match="dividing the level"):
+            query(11)
+        with pytest.raises(DomainError, match="working characteristic"):
+            query(7)
 
 
 def test_eigenvector_satisfies_hecke_equation():
@@ -155,3 +156,54 @@ def test_min_poly_consistency_beyond_base_primes():
     f = s.min_poly(13)
     assert polys.evaluate(s.field, tuple(c % 7 for c in f), s.a(13)) == 0
     assert polys.degree(f) in (1, 2)
+
+
+def conjugate_product(s, q):
+    """Minimal polynomial of a(q) as the product of x - c over its Frobenius
+    conjugates in the working field; its coefficients must lie in F_ell."""
+    a = s.a(q)
+    K = s.field
+    conj = [a]
+    x = K.frobenius(a)
+    while x != a:
+        conj.append(x)
+        x = K.frobenius(x)
+    f = (1,)
+    for c in conj:
+        f = polys.mul(K, f, (K.neg(c), 1))
+    assert all(c < s.ell for c in f), f
+    return tuple(int(c) for c in f)
+
+
+@pytest.mark.parametrize(
+    "N, k, ell",
+    [(23, 2, 7), (23, 2, 5), (22, 2, 7), (67, 2, 5), (97, 2, 11), (37, 6, 101)],
+)
+def test_min_poly_equals_conjugate_product_of_eigenvalue(N, k, ell):
+    # Covers a non-semisimple block (23.2.5), an old orbit of multiplicity 2
+    # (22.2.7) and orbits of degree 5 and 7 (37.6.101).
+    for s in decompose(N, k, ell):
+        for q in primes_up_to(60):
+            if (N * ell) % q:
+                assert s.min_poly(q) == conjugate_product(s, q), (s.label, q)
+
+
+def test_min_poly_beyond_base_primes_needs_no_eigenvector(monkeypatch):
+    monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
+    (s,) = decompose(23, 2, 7)
+
+    def no_refinement(self, q):
+        raise AssertionError("min_poly refined the eigenvector")
+
+    monkeypatch.setattr(Eigensystem, "_refine", no_refinement)
+    assert s.base_primes == [2, 3]
+    assert s.min_poly(17) == (4, 1, 1)
+    assert s.min_poly(13) == (4, 1)
+
+
+def test_min_poly_on_a_block_holding_two_orbits_is_refused():
+    sp = symbol_space(67, 2, 5)
+    assert [s.min_poly(2) for s in decompose(67, 2, 5)] == [(3, 1), (4, 1)]
+    whole = Eigensystem(sp, np.eye(sp.cuspidal_dim, dtype=np.int64), {})
+    with pytest.raises(DomainError, match="splits the orbit's block"):
+        whole.min_poly(2)

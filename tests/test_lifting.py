@@ -1,5 +1,6 @@
 import pytest
 
+from heckechain import lifting
 from heckechain.arith import DomainError
 from heckechain.eigensystems import decompose
 from heckechain.lifting import (
@@ -31,6 +32,20 @@ def test_lift_charpoly_level_23_golden():
 def test_lift_charpoly_rejects_level_primes():
     with pytest.raises(DomainError, match="away from the level"):
         lift_charpoly(11, 2, 11)
+
+
+def test_lift_charpoly_gives_up_after_max_lift_primes(monkeypatch):
+    calls = []
+
+    def failing(N, k, ell, q):
+        calls.append(ell)
+        raise DomainError("no charpoly at this characteristic")
+
+    monkeypatch.setattr(lifting, "charpoly_halved", failing)
+    with pytest.raises(DomainError, match="could not stabilize"):
+        lift_charpoly(11, 2, 2)
+    assert len(calls) == lifting._MAX_LIFT_PRIMES
+    assert len(set(calls)) == len(calls)
 
 
 def test_lift_charpoly_trivial_space():
