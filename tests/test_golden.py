@@ -3,7 +3,7 @@
 Each file under ``tests/golden/`` holds the stdout of one ``heckechain``
 command, recorded before the change that the command guards (the
 congruence-graph and polynomial consolidation, the packed extension-field
-multiply, the F_ell minimal polynomials); a refactor or optimisation must
+multiply, the F_ell minimal polynomials, the lazy eigensystems); a refactor or optimisation must
 reproduce every one exactly.  Record a new command by adding it to
 ``COMMANDS`` and running this file as a script from the repository root with
 ``PYTHONPATH=src``.  A ``.json`` argument names a descriptor file in
@@ -21,7 +21,7 @@ from heckechain import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = [
-    *[["graph", str(N), "2", "--lmax", "50"] for N in (11, 22, 33, 37, 44, 57, 67)],
+    *[["graph", str(N), "2", "--lmax", "50"] for N in (11, 22, 33, 37, 44, 57, 67, 131)],
     ["congruences", "1", "12", "11", "2", "--lmax", "13"],
     ["congruences", "5", "4", "7", "4", "--lmax", "13"],
     ["congruences", "3", "6", "2", "8", "--lmax", "13"],
@@ -38,6 +38,7 @@ COMMANDS = [
     ["orbits", "37", "6", "101"],
     ["orbits", "11", "10", "101"],
     ["orbits", "97", "2", "11"],
+    ["orbits", "49", "4", "5"],
     ["plan", "delta.json", "--bound", "10"],
     ["plan", "messy.json", "--bound", "20"],
     ["connect", "delta.json", "messy.json", "--bound", "20"],
