@@ -2,16 +2,18 @@
 
 Blocks are generalized eigenspaces carved out by the operators at primes up to
 the Sturm bound that avoid the level and the working characteristic. Each
-block carries one orbit. Its degree, multiplicity and the minimal polynomial
-of its eigenvalue at every prime come from F_ell linear algebra on the block.
-The eigenvalues a(q), the working field and (for now) `semisimple` come from
-the extension field: a canonical member is pinned down by repeatedly refining
-a simultaneous eigenspace, always taking the smallest available eigenvalue,
-and enlarging the field when an operator's restriction has no eigenvalue in it.
+block carries one orbit. Its degree, multiplicity, whether it is semisimple
+and the minimal polynomial of its eigenvalue at every prime come from F_ell
+linear algebra on the block. Only the eigenvalues a(q) use the extension
+field, and only from the first query on: a canonical member is then pinned
+down by refining a simultaneous eigenspace at the base primes in order, always
+taking the smallest available eigenvalue, and enlarging the field when a later
+operator's restriction has no eigenvalue in it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -49,8 +51,9 @@ class Eigensystem:
     """One Galois orbit of Hecke eigenvalues on a cuspidal space mod ell.
 
     Degree, multiplicity and the base primes' minimal polynomials come from
-    the split; `min_poly` elsewhere restricts T_q to the block over F_ell.
-    Eigenvalue queries refine the stored eigenvector and may enlarge the field.
+    the split; `min_poly` elsewhere and `semisimple` restrict operators to the
+    block over F_ell. The first eigenvalue query builds the eigenvector over
+    F_{ell^degree}; later queries refine it and may enlarge the field.
     """
 
     def __init__(
@@ -74,21 +77,31 @@ class Eigensystem:
         self.is_old = False
         self._space = space
         self._basis = block_basis
-        self._K = field(self.ell, self.degree)
         self._minpolys = dict(minpolys)
         self._eigen: dict[int, int] = {}
-        self._V = [
-            [int(x) for x in block_basis[:, j]] for j in range(self.block_dim)
-        ]
-        for q in self.base_primes:
-            self._refine(q)
-        self.semisimple = len(self._V) * self.degree == self.block_dim
+        # The eigenvector over self._K, built on the first eigenvalue query.
+        self._K: FiniteField | None = None
+        self._V: list[list[int]] | None = None
 
     @property
     def field(self) -> FiniteField:
-        """Current working field; degree may exceed the orbit degree after
-        lazy extensions."""
-        return self._K
+        """Working field: F_{ell^degree}, or larger once an eigenvalue query
+        has enlarged it."""
+        return field(self.ell, self.degree) if self._K is None else self._K
+
+    @cached_property
+    def semisimple(self) -> bool:
+        """Whether the Hecke operators act semisimply on the block: each base
+        prime's minimal polynomial annihilates its operator's restriction."""
+        ell = self.ell
+        return not any(
+            poly_of_matrix(
+                self._minpolys[q],
+                _restrict(self._space.hecke_matrix(q), self._basis, ell),
+                ell,
+            ).any()
+            for q in self.base_primes
+        )
 
     @property
     def label(self) -> str:
@@ -105,6 +118,13 @@ class Eigensystem:
 
     def a(self, q: int) -> int:
         """Eigenvalue at q as an element encoding in self.field."""
+        if self._V is None:
+            self._K = field(self.ell, self.degree)
+            self._V = [
+                [int(x) for x in self._basis[:, j]] for j in range(self.block_dim)
+            ]
+            for p in self.base_primes:
+                self._refine(p)
         if q not in self._eigen:
             self._check_prime(q)
             self._refine(q)
@@ -183,10 +203,15 @@ class Eigensystem:
         self._K = K2
 
 
-def _block_factors(M: np.ndarray, basis: np.ndarray, ell: int):
+def _restrict(M: np.ndarray, basis: np.ndarray, ell: int) -> np.ndarray:
     """Matrix of M restricted to the invariant subspace spanned by the columns
-    of basis over F_ell, and the factorisation of its charpoly."""
-    R = solve_columns(basis, matmul_mod(M, basis, ell), ell)
+    of basis over F_ell."""
+    return solve_columns(basis, matmul_mod(M, basis, ell), ell)
+
+
+def _block_factors(M: np.ndarray, basis: np.ndarray, ell: int):
+    """The restriction of M to the block and the factorisation of its charpoly."""
+    R = _restrict(M, basis, ell)
     return R, polys.factor(field(ell), charpoly_mod(R, ell))
 
 

@@ -3,7 +3,14 @@ import pytest
 
 from heckechain import eigensystems, polys
 from heckechain.arith import DomainError, primes_up_to
-from heckechain.eigensystems import Eigensystem, decompose, operator_primes, sturm_bound
+from heckechain.eigensystems import (
+    Eigensystem,
+    charpoly_halved,
+    decompose,
+    operator_primes,
+    sturm_bound,
+)
+from heckechain.lifting import IntegralClasses
 from heckechain.modsym import symbol_space
 
 # Integral eigenvalues of the unique newform orbits, for spot checks after
@@ -207,3 +214,48 @@ def test_min_poly_on_a_block_holding_two_orbits_is_refused():
     whole = Eigensystem(sp, np.eye(sp.cuspidal_dim, dtype=np.int64), {})
     with pytest.raises(DomainError, match="splits the orbit's block"):
         whole.min_poly(2)
+
+
+def refined_semisimple(s):
+    """Semisimplicity read off the refined eigenvector: the simultaneous
+    eigenspace of one conjugate fills its share block_dim / degree of the
+    block exactly when every operator acts semisimply."""
+    if s.base_primes:
+        s.a(s.base_primes[0])
+        return len(s._V) * s.degree == s.block_dim
+    return True
+
+
+@pytest.mark.parametrize(
+    "N, k, ell, has_non_semisimple",
+    [
+        (23, 2, 5, True),
+        (67, 2, 5, True),
+        (49, 4, 5, True),
+        (74, 4, 7, True),
+        (77, 4, 5, True),
+        (37, 6, 101, False),
+        (11, 10, 101, False),
+    ],
+)
+def test_semisimple_over_f_ell_matches_refinement(N, k, ell, has_non_semisimple, monkeypatch):
+    monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
+    systems = decompose(N, k, ell)
+    flags = [s.semisimple for s in systems]
+    assert flags == [refined_semisimple(s) for s in systems]
+    assert (not all(flags)) == has_non_semisimple
+
+
+def test_construction_field_and_semisimple_need_no_eigenvector(monkeypatch):
+    monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
+
+    def no_refinement(self, q):
+        raise AssertionError("the eigenvector was refined")
+
+    monkeypatch.setattr(Eigensystem, "_refine", no_refinement)
+    systems = decompose(49, 4, 5)
+    assert charpoly_halved(49, 4, 5, 19)
+    assert IntegralClasses(37, 2).classes
+    assert [(s.field.degree, s.semisimple) for s in systems] == [(1, True)] * 5 + [(2, False)]
+    with pytest.raises(AssertionError, match="refined"):
+        systems[0].a(2)
