@@ -119,10 +119,8 @@ class Eigensystem:
     def a(self, q: int) -> int:
         """Eigenvalue at q as an element encoding in self.field."""
         if self._V is None:
-            self._K = field(self.ell, self.degree)
-            self._V = [
-                [int(x) for x in self._basis[:, j]] for j in range(self.block_dim)
-            ]
+            self._K = self.field
+            self._V = self._basis.T.tolist()
             for p in self.base_primes:
                 self._refine(p)
         if q not in self._eigen:

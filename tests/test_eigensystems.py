@@ -234,6 +234,10 @@ def refined_semisimple(s):
         (49, 4, 5, True),
         (74, 4, 7, True),
         (77, 4, 5, True),
+        # Non-semisimple at the last base prime only (66.2.5 orbit 1), and
+        # at every base prime but the last (15.6.13 orbit 1).
+        (66, 2, 5, True),
+        (15, 6, 13, True),
         (37, 6, 101, False),
         (11, 10, 101, False),
     ],

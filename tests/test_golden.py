@@ -3,11 +3,11 @@
 Each file under ``tests/golden/`` holds the stdout of one ``heckechain``
 command, recorded before the change that the command guards (the
 congruence-graph and polynomial consolidation, the packed extension-field
-multiply, the F_ell minimal polynomials, the lazy eigensystems); a refactor or optimisation must
-reproduce every one exactly.  Record a new command by adding it to
-``COMMANDS`` and running this file as a script from the repository root with
-``PYTHONPATH=src``.  A ``.json`` argument names a descriptor file in
-``tests/golden/``.
+multiply, the F_ell minimal polynomials, the lazy eigensystems); a refactor
+or optimisation must reproduce every one exactly.  Record a new command by
+adding it to ``COMMANDS`` and running this file as a script from the
+repository root with ``PYTHONPATH=src``.  A ``.json`` argument names a
+descriptor file in ``tests/golden/``.
 """
 
 import re
