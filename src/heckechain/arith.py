@@ -105,36 +105,14 @@ def legendre(a: int, q: int) -> int:
     return 1 if pow(a, (q - 1) // 2, q) == 1 else -1
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), the full multiplicative extension."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol on the odd part by reciprocity.
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
+def kronecker(a: int, q: int) -> int:
+    """Kronecker symbol (a/q) at a prime q: the Legendre symbol for odd q;
+    at 2 it is 0 for even a and otherwise +1 or -1 as a = +-1 or +-3 mod 8."""
+    if q != 2:
+        return legendre(a, q)
+    if a % 2 == 0:
+        return 0
+    return 1 if a % 8 in (1, 7) else -1
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:

@@ -19,7 +19,7 @@ from .eigensystems import decompose, operator_primes, sturm_bound
 from .graph import chain_graph, mazur_report
 from .images import ImageClass, classify_image, is_adequate
 from .mlt import EdgeContext, all_verdicts, best_verdict, find_good_dihedral
-from .modsym import symbol_space
+from .modsym import symbol_space, validate_level_weight
 from .planner import connect as planner_connect
 from .planner import plan_to_safe_form
 from .store import (
@@ -45,6 +45,14 @@ def _parse_label(text: str) -> tuple[int, int, int]:
         return int(parts[0]), int(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"class label {text!r} must look like N.k.index") from exc
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, for argparse."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
 # -- space --------------------------------------------------------------------
@@ -122,6 +130,8 @@ def _render_orbits(p: dict) -> str:
 
 
 def _payload_congruences(N1, k1, N2, k2, lmax) -> dict:
+    validate_level_weight(N1, k1)
+    validate_level_weight(N2, k2)
     checked = []
     skipped = []
     edges = []
@@ -506,7 +516,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("good-dihedral", help="smallest protecting prime pair")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--forbidden", default="", help="comma-separated primes to avoid")
+    p.add_argument(
+        "--forbidden", type=_int_list, default="", help="comma-separated primes to avoid"
+    )
 
     return parser
 
@@ -573,10 +585,7 @@ def _dispatch(args, store: Store) -> str:
         d2 = _load_descriptor(args.descriptor2)
         return _render_connect(_payload_connect(d1, d2, args.bound))
     if args.command == "good-dihedral":
-        forbidden = tuple(
-            int(x) for x in args.forbidden.split(",") if x.strip()
-        )
-        pair = find_good_dihedral(args.bound, forbidden=forbidden)
+        pair = find_good_dihedral(args.bound, forbidden=args.forbidden)
         return f"pair p={pair.p} q={pair.q}"
     raise DomainError(f"unknown command {args.command!r}")
 

@@ -42,9 +42,15 @@ def sturm_bound(N: int, k: int) -> int:
     return k * index_mu(N) // 12
 
 
-def operator_primes(N: int, k: int, ell: int, bound: int | None = None) -> list[int]:
-    b = sturm_bound(N, k) if bound is None else bound
-    return [q for q in primes_up_to(b) if N % q and q != ell]
+def base_primes(N: int, k: int) -> list[int]:
+    """Primes up to the Sturm bound away from the level; their operators
+    determine an eigensystem at (N, k)."""
+    return [q for q in primes_up_to(sturm_bound(N, k)) if N % q]
+
+
+def operator_primes(N: int, k: int, ell: int) -> list[int]:
+    """The base primes other than the characteristic ell."""
+    return [q for q in base_primes(N, k) if q != ell]
 
 
 class Eigensystem:

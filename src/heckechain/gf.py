@@ -210,8 +210,6 @@ class FiniteField:
         return out
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
         if self.degree == 1:
             return pow(a, e, self.p)
         r = 1

@@ -12,15 +12,17 @@ reductions of their rational classes, for chain search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import DomainError, divisors, is_prime, primes_up_to
 from .congruence import reduced_congruence, weight_compatible
 from .dims import dim_cusp_forms
+from .eigensystems import base_primes, operator_primes
 from .images import classify_image, witness_bound
-from .lifting import base_primes, integral_classes, orbit_class_map
+from .lifting import integral_classes, orbit_class_map
 from .mlt import EdgeContext, MltVerdict, best_verdict
+from .modsym import validate_level_weight
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,6 @@ class CongruenceGraph:
         self._adj[v].append(edge.reversed())
         self._edges.append(edge)
         return edge
-
-    @property
-    def nodes(self) -> list:
-        return list(self._adj)
-
-    @property
-    def edges(self) -> list[Edge]:
-        return list(self._edges)
 
     def components(self) -> list[tuple]:
         """Connected components, each in insertion order, ordered by their
@@ -141,7 +135,6 @@ class MazurReport:
     edges: tuple[tuple[tuple[int, int, int], tuple[int, int, int], int], ...]
     components: tuple[tuple[tuple[int, int, int], ...], ...]
     connected: bool
-    graph: CongruenceGraph = field(compare=False, repr=False, default=None)
 
 
 def mazur_report(N: int, k: int, ell_range) -> MazurReport:
@@ -153,6 +146,7 @@ def mazur_report(N: int, k: int, ell_range) -> MazurReport:
     cannot be used (divides the level, too small for the weight, dimension
     anomaly, ...) is recorded with its reason rather than silently skipped.
     """
+    validate_level_weight(N, k)
     qs = base_primes(N, k)
     nodes = []
     seen = set()
@@ -177,7 +171,7 @@ def mazur_report(N: int, k: int, ell_range) -> MazurReport:
     for ell in sorted(set(ell_range)):
         if not is_prime(ell):
             continue
-        comparison = tuple(q for q in qs if q != ell)
+        comparison = tuple(operator_primes(N, k, ell))
         if not comparison:
             dropped.append((ell, "no comparison primes below the bound"))
             continue
@@ -206,7 +200,6 @@ def mazur_report(N: int, k: int, ell_range) -> MazurReport:
         edges=tuple(edges),
         components=components,
         connected=len(components) <= 1,
-        graph=graph,
     )
 
 
@@ -216,6 +209,8 @@ def chain_graph(a, b, lmax: int) -> CongruenceGraph:
     classes congruent mod a prime ell <= lmax, as found through their
     reductions, and carries the best lifting-theorem verdict for the image of
     the left class."""
+    for N, k in (a[:2], b[:2]):
+        validate_level_weight(N, k)
     classes = [
         cls for N, k in dict.fromkeys([a[:2], b[:2]]) for cls in integral_classes(N, k).classes
     ]

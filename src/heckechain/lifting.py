@@ -25,7 +25,7 @@ import sympy
 from . import polys
 from .arith import DomainError, crt_pair, is_prime, next_prime, primes_up_to, symmetric_lift
 from .dims import dim_cusp_forms
-from .eigensystems import Eigensystem, charpoly_halved, decompose, sturm_bound
+from .eigensystems import Eigensystem, base_primes, charpoly_halved, decompose
 from .gf import field
 
 _MAX_ANCHOR_TRIES = 25
@@ -85,23 +85,14 @@ def lift_charpoly(N: int, k: int, q: int) -> tuple[int, ...]:
     raise DomainError("could not stabilize an integer charpoly lift")
 
 
-def _z_factors(coeffs: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Monic irreducible integer factors (little-endian) with multiplicities,
-    sorted by (degree, coefficients)."""
+def _z_factors(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Distinct monic irreducible integer factors (little-endian), sorted by
+    (degree, coefficients)."""
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(coeffs)), x, domain="ZZ")
     _, fac = poly.factor_list()
-    out = []
-    for f, m in fac:
-        cs = [int(c) for c in reversed(f.all_coeffs())]
-        out.append((tuple(cs), int(m)))
-    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
-
-
-def base_primes(N: int, k: int) -> list[int]:
-    """Primes up to the Sturm bound away from the level; their integer
-    factors identify the orbit classes at (N, k)."""
-    return [q for q in primes_up_to(sturm_bound(N, k)) if N % q]
+    out = [tuple(int(c) for c in reversed(f.all_coeffs())) for f, _ in fac]
+    return sorted(out, key=lambda f: (len(f), f))
 
 
 def _divides_mod(f: polys.Poly, F: tuple[int, ...], ell: int) -> bool:
@@ -159,28 +150,26 @@ class IntegralClasses:
         self.N = N
         self.k = k
         self.base_primes = base_primes(N, k)
-        self._lifts: dict[int, tuple[int, ...]] = {}
-        self._factors: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        # Integer factors of the lifted charpoly at each operator prime.
+        self._factors: dict[int, list[tuple[int, ...]]] = {}
         self._class_factor: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.dropped: list[int] = []
         self.classes: list[IntegralOrbitClass] = []
         self.anchor = 0
-        self._anchor_groups: list[list[Eigensystem]] = []
-        self._secondary: tuple[int, dict[int, Eigensystem]] | None = None
+        # Per reference characteristic, one orbit representing each class.
+        self._reps: dict[int, dict[int, Eigensystem]] = {}
         self._build()
 
     # -- assembly ---------------------------------------------------------
 
-    def _lift(self, q: int) -> tuple[int, ...]:
-        if q not in self._lifts:
-            self._lifts[q] = lift_charpoly(self.N, self.k, q)
-            self._factors[q] = _z_factors(self._lifts[q])
-        return self._lifts[q]
+    def _z_factors_at(self, q: int) -> list[tuple[int, ...]]:
+        if q not in self._factors:
+            self._factors[q] = _z_factors(lift_charpoly(self.N, self.k, q))
+        return self._factors[q]
 
-    def _matching_factors(self, s: Eigensystem, q: int, ell: int) -> list[tuple[int, ...]]:
-        """Integer factors at q whose reduction mod ell the minimal polynomial
-        of the mod-ell system s divides."""
-        return [F for F, _ in self._factors[q] if _divides_mod(s.min_poly(q), F, ell)]
+    def _matching_factors(self, s: Eigensystem, q: int) -> list[tuple[int, ...]]:
+        """Integer factors at q whose reduction mod s.ell the minimal
+        polynomial of the mod-ell system s divides."""
+        return [F for F in self._z_factors_at(q) if _divides_mod(s.min_poly(q), F, s.ell)]
 
     def _anchor_ok(self, ell: int) -> dict[tuple, list[Eigensystem]] | None:
         """The orbits mod ell grouped by their integer factors at the base
@@ -199,7 +188,7 @@ class IntegralClasses:
         for s in systems:
             key = []
             for q in self.base_primes:
-                hits = self._matching_factors(s, q, ell)
+                hits = self._matching_factors(s, q)
                 if len(hits) != 1:
                     return None
                 key.append(hits[0])
@@ -214,22 +203,19 @@ class IntegralClasses:
         if dim_cusp_forms(self.N, self.k) == 0:
             return
         for q in self.base_primes:
-            self._lift(q)
-        tries = 0
-        for ell in valid_characteristics(self.N, self.k):
-            tries += 1
-            if tries > _MAX_ANCHOR_TRIES:
-                raise DomainError("no anchor characteristic produced a clean grouping")
+            self._z_factors_at(q)
+        for ell in islice(valid_characteristics(self.N, self.k), _MAX_ANCHOR_TRIES):
             groups = self._anchor_ok(ell)
             if groups is not None:
                 break
-            self.dropped.append(ell)
+        else:
+            raise DomainError("no anchor characteristic produced a clean grouping")
         self.anchor = ell
 
         # Classes ordered by degree, then by their factors at the base primes.
         ordered = sorted(groups.items(), key=lambda g: (sum(m.degree for m in g[1]), g[0]))
+        self._reps[ell] = {i: members[0] for i, (_, members) in enumerate(ordered)}
         for i, (key, members) in enumerate(ordered):
-            self._anchor_groups.append(members)
             cls = IntegralOrbitClass(
                 N=self.N, k=self.k, index=i, degree=sum(m.degree for m in members),
                 multiplicity=members[0].multiplicity, anchor=ell, _parent=self,
@@ -240,19 +226,18 @@ class IntegralClasses:
 
     # -- queries ------------------------------------------------------------
 
-    def _secondary_reps(self) -> tuple[int, dict[int, Eigensystem]]:
+    def _secondary(self) -> int:
         """A second reference characteristic with one representative orbit per
         class; needed to assign factors when an operator prime coincides with
         the anchor characteristic."""
-        if self._secondary is not None:
-            return self._secondary
-        tries = 0
-        for ell in valid_characteristics(self.N, self.k):
-            if ell == self.anchor or ell in self.base_primes:
-                continue
-            tries += 1
-            if tries > _MAX_ANCHOR_TRIES:
-                break
+        for ell in self._reps:
+            if ell != self.anchor:
+                return ell
+        candidates = (
+            ell for ell in valid_characteristics(self.N, self.k)
+            if ell != self.anchor and ell not in self.base_primes
+        )
+        for ell in islice(candidates, _MAX_ANCHOR_TRIES):
             try:
                 mapping = orbit_class_map(self.N, self.k, ell, self.classes)
             except DomainError:
@@ -261,11 +246,10 @@ class IntegralClasses:
                 continue
             if {v[0] for v in mapping.values()} != set(range(len(self.classes))):
                 continue
-            reps: dict[int, Eigensystem] = {}
+            reps = self._reps[ell] = {}
             for s in decompose(self.N, self.k, ell):
                 reps.setdefault(mapping[s.index][0], s)
-            self._secondary = (ell, reps)
-            return self._secondary
+            return ell
         raise DomainError("no secondary characteristic gives a clean class mapping")
 
     def factor_for(self, index: int, q: int) -> tuple[int, ...]:
@@ -275,14 +259,8 @@ class IntegralClasses:
             raise DomainError("no operator factor at a prime dividing the level")
         if not is_prime(q):
             raise DomainError("operator factors are indexed by primes")
-        self._lift(q)
-        if q == self.anchor:
-            ell_ref, reps = self._secondary_reps()
-            rep = reps[index]
-        else:
-            ell_ref = self.anchor
-            rep = self._anchor_groups[index][0]
-        hits = self._matching_factors(rep, q, ell_ref)
+        ell = self._secondary() if q == self.anchor else self.anchor
+        hits = self._matching_factors(self._reps[ell][index], q)
         if len(hits) != 1:
             raise DomainError(f"ambiguous integer factor assignment at {q}")
         self._class_factor[(index, q)] = hits[0]

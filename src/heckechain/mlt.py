@@ -37,6 +37,10 @@ class EdgeContext:
     good_dihedral: bool = False
     fontaine_laffaille: bool | None = None
 
+    def __post_init__(self):
+        if not is_prime(self.ell):
+            raise DomainError(f"edge characteristic {self.ell} is not prime")
+
 
 @dataclass(frozen=True)
 class MltVerdict:

@@ -102,13 +102,19 @@ def _lift_to_coprime(c: int, d: int, N: int) -> tuple[int, int]:
     return (c, d)
 
 
-def validate_space(N: int, k: int, ell: int) -> None:
+def validate_level_weight(N: int, k: int) -> None:
+    """The level and weight rules every space obeys, whatever the
+    characteristic."""
     if N < 1:
         raise DomainError("level must be a positive integer")
     if k < 2 or k % 2:
         raise DomainError("weight must be even and at least 2")
     if k > MAX_WEIGHT:
         raise DomainError(f"weight above supported bound {MAX_WEIGHT}")
+
+
+def validate_space(N: int, k: int, ell: int) -> None:
+    validate_level_weight(N, k)
     if not is_prime(ell):
         raise DomainError("working characteristic must be prime")
     if N % ell == 0:

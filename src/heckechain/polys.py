@@ -3,7 +3,8 @@
 Polynomials are tuples of field-element encodings, little endian, with no
 trailing zeros; the zero polynomial is the empty tuple. Factorization runs
 squarefree / distinct-degree / equal-degree splitting with a PRNG seeded from
-the input, so factor order and the factors themselves are reproducible.
+the input, so factor order and the factors themselves are reproducible. The
+equal-degree step, and with it root finding, needs odd characteristic.
 """
 
 from __future__ import annotations
@@ -219,10 +220,13 @@ def _random_poly(F: FiniteField, rng: random.Random, deg: int) -> Poly:
 
 
 def equal_degree_split(F: FiniteField, f: Poly, d: int) -> list[Poly]:
-    """Factor squarefree monic f whose irreducible factors all have degree d."""
+    """Factor squarefree monic f whose irreducible factors all have degree d,
+    in odd characteristic (Cantor-Zassenhaus)."""
     n = degree(f)
     if n == d:
         return [f]
+    if F.p == 2:
+        raise DomainError("equal-degree splitting needs odd characteristic")
     rng = random.Random(_split_seed(F, f))
     q = F.order
     while True:
@@ -230,17 +234,7 @@ def equal_degree_split(F: FiniteField, f: Poly, d: int) -> list[Poly]:
         if degree(a) < 1:
             continue
         g = gcd(F, a, f)
-        if 0 < degree(g) < n:
-            pass
-        elif F.p == 2:
-            # Trace map: g = a + a^2 + a^4 + ... over F_{2^m}, m = d * field degree.
-            t = a
-            g = a
-            for _ in range(d * F.degree - 1):
-                t = mod(F, mul(F, t, t), f)
-                g = add(F, g, t)
-            g = gcd(F, g, f)
-        else:
+        if not 0 < degree(g) < n:
             b = pow_mod(F, a, (q**d - 1) // 2, f)
             g = gcd(F, sub(F, b, (1,)), f)
         if 0 < degree(g) < n:
@@ -267,14 +261,11 @@ def roots(F: FiniteField, f: Poly) -> list[int]:
     """Roots in F, sorted by encoding, ignoring multiplicity."""
     if degree(f) < 1:
         return []
-    # Restrict to the part splitting in F before factoring.
+    # The split part: the product of the distinct linear factors of f.
     g = gcd(F, sub(F, pow_mod(F, X, F.order, f), X), f)
-    out = []
-    if degree(g) > 0:
-        for irr, _ in factor(F, g):
-            if degree(irr) == 1:
-                out.append(F.neg(irr[0]))
-    return sorted(set(out))
+    if degree(g) < 1:
+        return []
+    return sorted(F.neg(h[0]) for h in equal_degree_split(F, g, 1))
 
 
 def embeddings(src: FiniteField, dst: FiniteField) -> list[list[int]]:

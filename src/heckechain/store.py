@@ -2,16 +2,17 @@
 
 Entries live one per file as ``kind_param1_param2....json`` holding a
 versioned envelope around a canonical-JSON payload with a 64-bit blake2b
-checksum.  Writers take an advisory lock and land the file atomically;
-readers never lock.  ``docs/schemas.md`` documents the payload schemas.
+checksum.  Each writer writes its own temporary file and renames it over the
+entry, so readers and concurrent writers only ever see whole entries and no
+lock is needed.  ``docs/schemas.md`` documents the payload schemas.
 """
 
 from __future__ import annotations
 
-import fcntl
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 
 from .arith import DomainError
@@ -19,7 +20,6 @@ from .planner import (
     GoodDihedral,
     LocalType,
     Plan,
-    PlanStep,
     PrincipalSeries,
     Steinberg,
     Supercuspidal,
@@ -100,15 +100,9 @@ class Store:
             "payload": payload,
         }
         text = json.dumps(entry, sort_keys=True, indent=1, ensure_ascii=False)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        lock_path = path.with_name(path.name + ".lock")
-        with open(lock_path, "w") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                tmp.write_text(text, encoding="utf-8")
-                os.replace(tmp, path)
-            finally:
-                fcntl.flock(lock, fcntl.LOCK_UN)
+        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}.{threading.get_ident()}")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
         return path
 
 
@@ -133,16 +127,36 @@ def local_type_to_dict(t: LocalType) -> dict:
     return out
 
 
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", dict: "an object", list: "a list"}
+_REQUIRED = object()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(d: dict, key: str, kind: type, default=_REQUIRED):
+    """d[key], or the default when the key is absent, checked to be of the
+    JSON type ``kind``; a boolean does not count as an integer."""
+    if key not in d and default is not _REQUIRED:
+        return default
+    value = d[key]
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise TypeError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def local_type_from_dict(d: dict) -> LocalType:
+    if not isinstance(d, dict):
+        raise TypeError(f"a local type must be an object, got {d!r}")
     kind = d.get("kind")
     if kind == "steinberg":
         return Steinberg()
-    if kind == "principal-series":
-        return PrincipalSeries(char_order=d.get("char_order", 1), wild=d.get("wild", False))
-    if kind == "supercuspidal":
-        return Supercuspidal(char_order=d.get("char_order", 1), wild=d.get("wild", False))
+    if kind in ("principal-series", "supercuspidal"):
+        cls = PrincipalSeries if kind == "principal-series" else Supercuspidal
+        return cls(char_order=_typed(d, "char_order", int, 1), wild=_typed(d, "wild", bool, False))
     if kind == "good-dihedral":
-        return GoodDihedral(p=d["p"], bound=d["bound"])
+        return GoodDihedral(p=_typed(d, "p", int), bound=_typed(d, "bound", int))
     raise DomainError(f"unknown local type kind {kind!r}")
 
 
@@ -161,19 +175,21 @@ def descriptor_to_dict(desc: SystemDescriptor) -> dict:
 
 def descriptor_from_dict(d: dict) -> SystemDescriptor:
     try:
-        weight = d["weight"]
-        if isinstance(weight, bool) or not isinstance(weight, int):
-            raise TypeError(f"weight must be an integer, got {weight!r}")
-        conductor = {
-            int(q): local_type_from_dict(t) for q, t in d.get("conductor", {}).items()
-        }
+        if not isinstance(d, dict):
+            raise TypeError(f"a descriptor must be an object, got {d!r}")
+        twists = _typed(d, "twist_conductor", list, [])
+        if not all(_is_int(t) for t in twists):
+            raise TypeError(f"twist_conductor must list integers, got {twists!r}")
         return SystemDescriptor(
-            weight=weight,
-            conductor=conductor,
-            dihedral=d.get("dihedral", False),
-            field_degree=d.get("field_degree", 1),
-            coeff_degree=d.get("coeff_degree", 1),
-            twist_conductor=tuple(d.get("twist_conductor", ())),
+            weight=_typed(d, "weight", int),
+            conductor={
+                int(q): local_type_from_dict(t)
+                for q, t in _typed(d, "conductor", dict, {}).items()
+            },
+            dihedral=_typed(d, "dihedral", bool, False),
+            field_degree=_typed(d, "field_degree", int, 1),
+            coeff_degree=_typed(d, "coeff_degree", int, 1),
+            twist_conductor=tuple(twists),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed descriptor document: {exc}") from exc

@@ -249,3 +249,74 @@ def test_cached_plan_renders_identically(capsys, tmp_path):
     cold = run(capsys, *argv)
     warm = run(capsys, *argv)
     assert cold == warm
+
+
+def test_cache_dir_holds_only_entries(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    for argv in [
+        ("space", "11", "2", "7"),
+        ("orbits", "23", "2", "7"),
+        ("graph", "11", "2", "--lmax", "20"),
+        ("plan", str(DESCRIPTORS / "delta.json"), "--bound", "10"),
+    ]:
+        assert run(capsys, "--cache-dir", str(cache), *argv)[0] == 0
+    names = sorted(p.name for p in cache.iterdir())
+    assert [n.split("_")[0] for n in names] == ["orbits", "plan", "report", "space"]
+    assert all(n.endswith(".json") for n in names)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"weight": 4, "conductor": {"3": {"kind": "principal-series", "char_order": "x"}}},
+            "char_order must be an integer, got 'x'",
+        ),
+        ({"weight": 4, "conductor": {"5": "steinberg"}}, "must be an object, got 'steinberg'"),
+        ({"weight": 4, "conductor": []}, "conductor must be an object, got []"),
+        (
+            {"weight": 4, "conductor": {"3": {"kind": "supercuspidal", "char_order": 2.5}}},
+            "char_order must be an integer, got 2.5",
+        ),
+        ({"weight": 4, "conductor": {}, "dihedral": "yes"}, "dihedral must be a boolean"),
+    ],
+    ids=["char-order-string", "local-type-string", "conductor-list", "char-order-float",
+         "dihedral-string"],
+)
+def test_plan_rejects_mistyped_descriptor(capsys, tmp_path, doc, message):
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "plan", str(path), "--bound", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed descriptor document: ")
+    assert message in err
+
+
+def test_good_dihedral_rejects_non_integer_forbidden_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["good-dihedral", "--bound", "10", "--forbidden", "x"])
+    assert exc.value.code == 2
+    assert "argument --forbidden" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ell", ["4", "0", "-7"])
+def test_mlt_edge_rejects_non_prime_characteristic(capsys, ell):
+    code, out, err = run(capsys, "mlt-edge", ell, "Large", "2", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: edge characteristic {ell} is not prime\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("congruences", "0", "2", "11", "2", "--lmax", "7"), "level must be a positive integer"),
+        (("graph", "11", "14", "--lmax", "10"), "weight above supported bound 12"),
+        (("graph", "0", "2", "--lmax", "10"), "level must be a positive integer"),
+        (("chain", "0.2.0", "11.2.0", "--lmax", "13"), "level must be a positive integer"),
+    ],
+    ids=["congruences-level-0", "graph-weight-14", "graph-level-0", "chain-level-0"],
+)
+def test_level_and_weight_are_checked_before_any_characteristic(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"

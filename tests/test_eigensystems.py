@@ -33,7 +33,7 @@ def test_sturm_bound_values():
 def test_operator_primes_skip_level_and_characteristic():
     assert operator_primes(11, 2, 5) == [2]
     assert operator_primes(23, 2, 3) == [2]
-    assert operator_primes(22, 2, 7, bound=13) == [3, 5, 13]
+    assert operator_primes(22, 2, 7) == [3, 5]
 
 
 @pytest.mark.parametrize("ell", [5, 7, 13])

@@ -1,8 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckechain import polys
+from heckechain.arith import DomainError
 from heckechain.gf import field
 
 
@@ -134,3 +136,37 @@ def test_squarefree_decomposition():
         for _ in range(mult):
             rebuilt = polys.mul(F, rebuilt, g)
     assert rebuilt == polys.monic(F, f)
+
+
+def roots_by_factoring(F, f):
+    """The roots as the linear factors of a full factorization: the former
+    implementation of `roots`, kept as an oracle."""
+    if polys.degree(f) < 1:
+        return []
+    g = polys.gcd(F, polys.sub(F, polys.pow_mod(F, polys.X, F.order, f), polys.X), f)
+    out = []
+    if polys.degree(g) > 0:
+        for irr, _ in polys.factor(F, g):
+            if polys.degree(irr) == 1:
+                out.append(F.neg(irr[0]))
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("p, d", [(7, 1), (7, 3), (13, 2)])
+def test_roots_match_factoring_oracle(p, d):
+    F = field(p, d)
+    rng = random.Random(1000 * p + d)
+    for _ in range(25):
+        f = rand_poly(F, rng, rng.randrange(1, 9))
+        # Multiply in linear factors, some repeated, so most inputs have roots.
+        for _ in range(rng.randrange(0, 5)):
+            f = polys.mul(F, f, (rng.randrange(F.order), 1))
+        assert polys.roots(F, f) == roots_by_factoring(F, f)
+
+
+def test_equal_degree_split_refuses_characteristic_two():
+    F = field(2, 3)
+    f = polys.mul(F, (0, 1), (1, 1))  # x (x + 1): two linear factors over F_8
+    with pytest.raises(DomainError, match="odd characteristic"):
+        polys.equal_degree_split(F, f, 1)
+    assert polys.equal_degree_split(F, (1, 1), 1) == [(1, 1)]

@@ -1,5 +1,10 @@
 import json
 import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +94,70 @@ def test_tampered_entry_fails_checksum(tmp_path):
         with pytest.raises(DomainError, match=message) as exc:
             st.get("space", 11, 2, 7)
         assert str(path) in str(exc.value)
+
+
+WRITES = 150
+WRITERS = "abc"  # more writers than the two cores CI machines have
+SRC = Path(__file__).resolve().parents[1] / "src"
+WRITER = """
+import sys
+from heckechain.store import Store
+st = Store(sys.argv[1])
+for i in range(int(sys.argv[2])):
+    st.put("orbits", {"writer": sys.argv[3], "i": i, "pad": list(range(200))}, 23, 2, 5)
+"""
+
+
+def read_while(st: Store, running, timeout: float = 60.0) -> None:
+    """Read the shared key until the writers finish; every read must be a
+    whole entry or a miss."""
+    deadline = time.monotonic() + timeout
+    while running():
+        assert time.monotonic() < deadline, "writers did not finish"
+        payload = st.get("orbits", 23, 2, 5)
+        assert payload is None or payload["pad"] == list(range(200))
+
+
+def test_concurrent_writer_threads_leave_only_entries(tmp_path):
+    st = Store(tmp_path)
+
+    def write(name):
+        for i in range(WRITES):
+            st.put("orbits", {"writer": name, "i": i, "pad": list(range(200))}, 23, 2, 5)
+
+    threads = [threading.Thread(target=write, args=(n,)) for n in WRITERS]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        read_while(st, lambda: any(t.is_alive() for t in threads))
+    finally:
+        sys.setswitchinterval(interval)
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert st.get("orbits", 23, 2, 5)["i"] == WRITES - 1
+    assert [p.name for p in tmp_path.iterdir()] == ["orbits_23_2_5.json"]
+
+
+def test_concurrent_writer_processes_leave_only_entries(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", WRITER, str(tmp_path), str(WRITES), n], env=env
+        )
+        for n in WRITERS
+    ]
+    try:
+        read_while(Store(tmp_path), lambda: any(p.poll() is None for p in procs))
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+    assert [p.wait(timeout=10) for p in procs] == [0] * len(WRITERS)
+    assert Store(tmp_path).get("orbits", 23, 2, 5)["i"] == WRITES - 1
+    assert [p.name for p in tmp_path.iterdir()] == ["orbits_23_2_5.json"]
 
 
 def test_local_type_round_trips():
