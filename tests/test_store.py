@@ -141,6 +141,7 @@ def test_concurrent_writer_threads_leave_only_entries(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["orbits_23_2_5.json"]
 
 
+@pytest.mark.slow
 def test_concurrent_writer_processes_leave_only_entries(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     procs = [
