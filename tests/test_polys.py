@@ -158,7 +158,7 @@ def test_roots_match_factoring_oracle(p, d):
     rng = random.Random(1000 * p + d)
     for _ in range(25):
         f = rand_poly(F, rng, rng.randrange(1, 9))
-        # Multiply in linear factors, some repeated, so most inputs have roots.
+        # Multiply in random linear factors so that most inputs have roots.
         for _ in range(rng.randrange(0, 5)):
             f = polys.mul(F, f, (rng.randrange(F.order), 1))
         assert polys.roots(F, f) == roots_by_factoring(F, f)
