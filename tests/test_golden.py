@@ -3,11 +3,11 @@
 Each file under ``tests/golden/`` holds the stdout of one ``heckechain``
 command, recorded before the change that the command guards (the
 congruence-graph and polynomial consolidation, the packed extension-field
-multiply, the F_ell minimal polynomials, the lazy eigensystems); a refactor
-or optimisation must reproduce every one exactly.  Record a new command by
-adding it to ``COMMANDS`` and running this file as a script from the
-repository root with ``PYTHONPATH=src``.  A ``.json`` argument names a
-descriptor file in ``tests/golden/``.
+multiply, the F_ell minimal polynomials, the lazy eigensystems, the single
+CLI command path); a refactor or optimisation must reproduce every one
+exactly.  Record a new command by adding it to ``COMMANDS`` and running this
+file as a script from the repository root with ``PYTHONPATH=src``.  A
+``.json`` argument names a descriptor file in ``tests/golden/``.
 """
 
 import re
@@ -42,6 +42,20 @@ COMMANDS = [
     ["plan", "delta.json", "--bound", "10"],
     ["plan", "messy.json", "--bound", "20"],
     ["connect", "delta.json", "messy.json", "--bound", "20"],
+    ["space", "11", "2", "7"],
+    ["classify", "23", "2", "5", "0"],
+    ["classify", "11", "2", "7", "0"],
+    ["mlt-edge", "11", "Large", "12", "2"],
+    [
+        "mlt-edge", "5", "Dihedral", "2", "2", "--parameter", "-4", "--good-dihedral",
+        "--ordinary", "true", "false",
+    ],
+    [
+        "mlt-edge", "7", "Reducible", "2", "4", "--not-residually-modular",
+        "--fontaine-laffaille", "true",
+    ],
+    ["good-dihedral", "--bound", "10"],
+    ["good-dihedral", "--bound", "30", "--forbidden", "37,41"],
 ]
 
 
