@@ -1,9 +1,12 @@
 """Command-line surface.
 
-Every subcommand builds a JSON-native payload, optionally caches it, and
-renders it through a pure formatting function, so cache hits and cold runs
-print byte-identical output.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+Every subcommand takes one path.  Its subparser records a payload function,
+which builds a JSON-native payload from the parsed arguments, and a render
+function, a pure formatting of that payload; a cached command also records
+its cache kind and a key function.  `_dispatch` looks the key up in the
+store, computes and stores the payload on a miss, and renders it, so cache
+hits and cold runs print byte-identical output.  The parser is built once,
+at import.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -58,18 +61,18 @@ def _int_list(text: str) -> tuple[int, ...]:
 # -- space --------------------------------------------------------------------
 
 
-def _payload_space(N: int, k: int, ell: int) -> dict:
-    sp = symbol_space(N, k, ell)
+def _payload_space(args) -> dict:
+    sp = symbol_space(args.N, args.k, args.ell)
     return {
-        "N": N,
-        "k": k,
-        "ell": ell,
+        "N": args.N,
+        "k": args.k,
+        "ell": args.ell,
         "ambient": sp.dim,
         "cuspidal": sp.cuspidal_dim,
-        "cusp_forms": dim_cusp_forms(N, k),
-        "new": dim_new(N, k),
+        "cusp_forms": dim_cusp_forms(args.N, args.k),
+        "new": dim_new(args.N, args.k),
         "cusps": len(sp.cusp_classes),
-        "sturm": sturm_bound(N, k),
+        "sturm": sturm_bound(args.N, args.k),
     }
 
 
@@ -90,7 +93,8 @@ def _render_space(p: dict) -> str:
 # -- orbits -------------------------------------------------------------------
 
 
-def _payload_orbits(N: int, k: int, ell: int) -> dict:
+def _payload_orbits(args) -> dict:
+    N, k, ell = args.N, args.k, args.ell
     systems = decompose(N, k, ell)
     qs = operator_primes(N, k, ell)
     orbits = []
@@ -129,7 +133,8 @@ def _render_orbits(p: dict) -> str:
 # -- congruences --------------------------------------------------------------
 
 
-def _payload_congruences(N1, k1, N2, k2, lmax) -> dict:
+def _payload_congruences(args) -> dict:
+    N1, k1, N2, k2, lmax = args.N1, args.k1, args.N2, args.k2, args.lmax
     validate_level_weight(N1, k1)
     validate_level_weight(N2, k2)
     checked = []
@@ -195,7 +200,8 @@ def _render_congruences(p: dict) -> str:
 # -- classify -----------------------------------------------------------------
 
 
-def _payload_classify(N, k, ell, index) -> dict:
+def _payload_classify(args) -> dict:
+    N, k, ell, index = args.N, args.k, args.ell, args.index
     systems = decompose(N, k, ell)
     if index < 0 or index >= len(systems):
         raise DomainError(f"orbit index {index} out of range (have {len(systems)})")
@@ -277,12 +283,12 @@ def _render_mlt_edge(p: dict) -> str:
 # -- graph --------------------------------------------------------------------
 
 
-def _payload_graph(N: int, k: int, lmax: int) -> dict:
-    report = mazur_report(N, k, primes_up_to(lmax))
+def _payload_graph(args) -> dict:
+    report = mazur_report(args.N, args.k, primes_up_to(args.lmax))
     return {
-        "N": N,
-        "k": k,
-        "lmax": lmax,
+        "N": args.N,
+        "k": args.k,
+        "lmax": args.lmax,
         "nodes": [_label_str(u) for u in report.nodes],
         "used": list(report.characteristics_used),
         "dropped": [[ell, reason] for ell, reason in report.characteristics_dropped],
@@ -416,16 +422,26 @@ def _render_plan_steps(plan: dict, lines: list[str], prefix: str = "") -> None:
     )
 
 
+def _plan_key(args) -> tuple:
+    return checksum_of(descriptor_to_dict(_load_descriptor(args.descriptor))), args.bound
+
+
+def _payload_plan(args) -> dict:
+    return plan_to_dict(plan_to_safe_form(_load_descriptor(args.descriptor), args.bound))
+
+
 def _render_plan(p: dict) -> str:
     lines = [f"plan bound={p['bound']}"]
     _render_plan_steps(p, lines)
     return "\n".join(lines)
 
 
-def _payload_connect(d1, d2, bound: int) -> dict:
-    result = planner_connect(d1, d2, bound)
+def _payload_connect(args) -> dict:
+    d1 = _load_descriptor(args.descriptor1)
+    d2 = _load_descriptor(args.descriptor2)
+    result = planner_connect(d1, d2, args.bound)
     return {
-        "bound": bound,
+        "bound": args.bound,
         "pair": {"p": result.pair.p, "q": result.pair.q},
         "aux": result.aux,
         "left": plan_to_dict(result.left),
@@ -445,6 +461,18 @@ def _render_connect(p: dict) -> str:
     return "\n".join(lines)
 
 
+# -- good-dihedral ------------------------------------------------------------
+
+
+def _payload_good_dihedral(args) -> dict:
+    pair = find_good_dihedral(args.bound, forbidden=args.forbidden)
+    return {"p": pair.p, "q": pair.q}
+
+
+def _render_good_dihedral(p: dict) -> str:
+    return f"pair p={p['p']} q={p['q']}"
+
+
 # -- dispatch -----------------------------------------------------------------
 
 
@@ -460,31 +488,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("space", help="modular symbol space dimensions")
-    p.add_argument("N", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("ell", type=int)
+    def command(name, help, payload, render, ints=(), kind=None, key=None):
+        # The subparser records its path through `_dispatch`; `ints` names
+        # its leading integer positionals.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(payload=payload, render=render, kind=kind, key=key)
+        for arg in ints:
+            p.add_argument(arg, type=int)
+        return p
 
-    p = sub.add_parser("orbits", help="eigensystem orbits with eigenvalue tables")
-    p.add_argument("N", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("ell", type=int)
-
-    p = sub.add_parser("congruences", help="certified congruences between two spaces")
-    p.add_argument("N1", type=int)
-    p.add_argument("k1", type=int)
-    p.add_argument("N2", type=int)
-    p.add_argument("k2", type=int)
+    command(
+        "space", "modular symbol space dimensions", _payload_space, _render_space,
+        ("N", "k", "ell"), "space", lambda a: (a.N, a.k, a.ell),
+    )
+    command(
+        "orbits", "eigensystem orbits with eigenvalue tables", _payload_orbits,
+        _render_orbits, ("N", "k", "ell"), "orbits", lambda a: (a.N, a.k, a.ell),
+    )
+    p = command(
+        "congruences", "certified congruences between two spaces", _payload_congruences,
+        _render_congruences, ("N1", "k1", "N2", "k2"), "edges",
+        lambda a: (a.N1, a.k1, a.N2, a.k2, a.lmax),
+    )
     p.add_argument("--lmax", type=int, required=True)
+    command(
+        "classify", "residual image classification of one orbit", _payload_classify,
+        _render_classify, ("N", "k", "ell", "index"),
+    )
 
-    p = sub.add_parser("classify", help="residual image classification of one orbit")
-    p.add_argument("N", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("ell", type=int)
-    p.add_argument("index", type=int)
-
-    p = sub.add_parser("mlt-edge", help="lifting-theorem verdicts for an edge context")
-    p.add_argument("ell", type=int)
+    p = command(
+        "mlt-edge", "lifting-theorem verdicts for an edge context", _payload_mlt_edge,
+        _render_mlt_edge, ("ell",),
+    )
     p.add_argument("image", choices=["Reducible", "Dihedral", "Exceptional", "Large"])
     p.add_argument("k1", type=int)
     p.add_argument("k2", type=int)
@@ -494,27 +529,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--not-residually-modular", action="store_true")
     p.add_argument("--fontaine-laffaille", choices=["true", "false"], default=None)
 
-    p = sub.add_parser("graph", help="connectedness report at one level")
-    p.add_argument("N", type=int)
-    p.add_argument("k", type=int)
+    p = command(
+        "graph", "connectedness report at one level", _payload_graph, _render_graph,
+        ("N", "k"), "report", lambda a: (a.N, a.k, a.lmax),
+    )
     p.add_argument("--lmax", type=int, required=True)
 
-    p = sub.add_parser("chain", help="shortest congruence chain between two classes")
+    p = command(
+        "chain", "shortest congruence chain between two classes", _payload_chain,
+        _render_chain,
+    )
     p.add_argument("src")
     p.add_argument("dst")
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--mlt-only", action="store_true")
 
-    p = sub.add_parser("plan", help="rewrite a descriptor to the safe form")
+    p = command(
+        "plan", "rewrite a descriptor to the safe form", _payload_plan, _render_plan,
+        kind="plan", key=_plan_key,
+    )
     p.add_argument("descriptor")
     p.add_argument("--bound", type=int, required=True)
 
-    p = sub.add_parser("connect", help="plan two descriptors to one safe form")
+    p = command(
+        "connect", "plan two descriptors to one safe form", _payload_connect,
+        _render_connect,
+    )
     p.add_argument("descriptor1")
     p.add_argument("descriptor2")
     p.add_argument("--bound", type=int, required=True)
 
-    p = sub.add_parser("good-dihedral", help="smallest protecting prime pair")
+    p = command(
+        "good-dihedral", "smallest protecting prime pair", _payload_good_dihedral,
+        _render_good_dihedral,
+    )
     p.add_argument("--bound", type=int, required=True)
     p.add_argument(
         "--forbidden", type=_int_list, default="", help="comma-separated primes to avoid"
@@ -523,76 +571,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cached(store: Store, kind: str, params, compute):
-    payload = store.get(kind, *params)
-    if payload is None:
-        payload = compute()
-        store.put(kind, payload, *params)
-    return payload
+_PARSER = _build_parser()
 
 
 def _dispatch(args, store: Store) -> str:
-    if args.command == "space":
-        payload = _cached(
-            store,
-            "space",
-            (args.N, args.k, args.ell),
-            lambda: _payload_space(args.N, args.k, args.ell),
-        )
-        return _render_space(payload)
-    if args.command == "orbits":
-        payload = _cached(
-            store,
-            "orbits",
-            (args.N, args.k, args.ell),
-            lambda: _payload_orbits(args.N, args.k, args.ell),
-        )
-        return _render_orbits(payload)
-    if args.command == "congruences":
-        payload = _cached(
-            store,
-            "edges",
-            (args.N1, args.k1, args.N2, args.k2, args.lmax),
-            lambda: _payload_congruences(args.N1, args.k1, args.N2, args.k2, args.lmax),
-        )
-        return _render_congruences(payload)
-    if args.command == "classify":
-        return _render_classify(_payload_classify(args.N, args.k, args.ell, args.index))
-    if args.command == "mlt-edge":
-        return _render_mlt_edge(_payload_mlt_edge(args))
-    if args.command == "graph":
-        payload = _cached(
-            store,
-            "report",
-            (args.N, args.k, args.lmax),
-            lambda: _payload_graph(args.N, args.k, args.lmax),
-        )
-        return _render_graph(payload)
-    if args.command == "chain":
-        return _render_chain(_payload_chain(args))
-    if args.command == "plan":
-        desc = _load_descriptor(args.descriptor)
-        key = checksum_of(descriptor_to_dict(desc))
-        payload = _cached(
-            store,
-            "plan",
-            (key, args.bound),
-            lambda: plan_to_dict(plan_to_safe_form(desc, args.bound)),
-        )
-        return _render_plan(payload)
-    if args.command == "connect":
-        d1 = _load_descriptor(args.descriptor1)
-        d2 = _load_descriptor(args.descriptor2)
-        return _render_connect(_payload_connect(d1, d2, args.bound))
-    if args.command == "good-dihedral":
-        pair = find_good_dihedral(args.bound, forbidden=args.forbidden)
-        return f"pair p={pair.p} q={pair.q}"
-    raise DomainError(f"unknown command {args.command!r}")
+    if args.kind is None:
+        return args.render(args.payload(args))
+    key = args.key(args)
+    payload = store.get(args.kind, *key)
+    if payload is None:
+        payload = args.payload(args)
+        store.put(args.kind, payload, *key)
+    return args.render(payload)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     store = Store(resolve_cache_dir(args.cache_dir))
     try:
         output = _dispatch(args, store)

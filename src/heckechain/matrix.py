@@ -1,7 +1,7 @@
 """Linear algebra over prime fields (numpy int64) and over extension fields.
 
 Prime-field matrices are numpy int64 arrays reduced mod p and go through the
-compiled kernels. Extension-field matrices stay small (eigenspace refinement
+numpy kernels of `_kernels`. Extension-field matrices stay small (eigenspace refinement
 blocks), so they are plain lists of integer-encoded field elements.
 
 Both characteristic polynomials, `charpoly_mod` and `gcharpoly`, reduce to

@@ -163,6 +163,10 @@ class GoodDihedralPair:
     q: int
 
 
+# Largest supported protection bound: the search for q grows steeply with it
+# (on a 2-vCPU machine bound 127 takes about 15 s, 139 over 100 s).
+MAX_BOUND = 127
+
 # Scan state per (bound, p): primes q found so far in order, next t offset.
 _PAIR_CACHE: dict[tuple[int, int], dict] = {}
 
@@ -178,10 +182,13 @@ def find_good_dihedral(bound: int, forbidden: tuple[int, ...] = ()) -> GoodDihed
 
     p is the least prime above the bound with p = 1 mod 4; q is the least
     prime with q = -1 mod p, q = 1 mod 8 and every odd prime below the bound
-    a square mod q.  Primes listed in ``forbidden`` are skipped.
+    a square mod q.  Primes listed in ``forbidden`` are skipped; a bound above
+    ``MAX_BOUND`` is refused.
     """
     if bound < 2:
         raise DomainError("good-dihedral bound must be at least 2")
+    if bound > MAX_BOUND:
+        raise DomainError(f"good-dihedral bound above supported ceiling {MAX_BOUND}")
     p = next_prime(bound)
     while p % 4 != 1 or p in forbidden:
         p = next_prime(p)

@@ -50,8 +50,6 @@ def resolve_cache_dir(flag: str | None) -> str | None:
 class Store:
     """One-file-per-entry JSON cache; a None root disables it."""
 
-    KINDS = ("space", "orbits", "edges", "report", "plan")
-
     def __init__(self, root: str | os.PathLike | None):
         self.root = Path(root) if root is not None else None
         if self.root is not None:
@@ -62,8 +60,6 @@ class Store:
         return self.root is not None
 
     def _path(self, kind: str, params) -> Path:
-        if kind not in self.KINDS:
-            raise DomainError(f"unknown cache kind {kind!r}")
         name = "_".join([kind, *[str(p) for p in params]])
         return self.root / f"{name}.json"
 

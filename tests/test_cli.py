@@ -1,4 +1,6 @@
+import argparse
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -112,6 +114,24 @@ def test_good_dihedral_forbidden(capsys):
     code, out, err = run(capsys, "good-dihedral", "--bound", "10", "--forbidden", "13")
     assert code == 0
     assert "p=17" in out and "q=1801" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("good-dihedral", "--bound", "1000000"),
+        ("plan", str(DESCRIPTORS / "delta.json"), "--bound", "1000000"),
+        ("connect", *(str(DESCRIPTORS / f) for f in ("delta.json", "messy.json")),
+         "--bound", "1000000"),
+    ],
+    ids=["good-dihedral", "plan", "connect"],
+)
+def test_protection_bound_above_ceiling_is_a_domain_error(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (1, "")
+    assert err == "error: good-dihedral bound above supported ceiling 127\n"
 
 
 def test_plan_and_connect_from_descriptor_files(capsys, tmp_path):
@@ -320,3 +340,23 @@ def test_level_and_weight_are_checked_before_any_characteristic(capsys, argv, me
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    built, used = [], []
+    init, parse_args = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recording_parse_args(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    for _ in range(2):
+        assert run(capsys, "good-dihedral", "--bound", "10")[0] == 0
+    assert built == []
+    assert len(used) == 2 and used[0] is used[1]

@@ -70,12 +70,6 @@ def test_disabled_store_is_inert(tmp_path):
     assert st.get("space", 11, 2, 7) is None
 
 
-def test_store_rejects_unknown_kind(tmp_path):
-    st = Store(tmp_path)
-    with pytest.raises(DomainError):
-        st.put("bogus", {}, 1)
-
-
 def test_tampered_entry_fails_checksum(tmp_path):
     st = Store(tmp_path)
     path = st.put("space", {"dim": 2}, 11, 2, 7)
