@@ -14,8 +14,9 @@ import time
 import numpy as np
 
 from heckechain import _kernels
-from heckechain.arith import crt_pair, legendre, primes_up_to
+from heckechain.arith import crt_pair, primes_up_to
 from heckechain.gf import field
+from heckechain.mlt import MAX_WINDOW
 from heckechain.modsym import P1List, merel_matrices
 
 
@@ -55,20 +56,13 @@ def bench_hecke(repeats):
 def bench_sieve(repeats):
     p = 109
     ells = [l for l in primes_up_to(101) if l != 2]
-    qr_off, qr_flat = [], []
-    for l in ells:
-        qr_off.append(len(qr_flat))
-        qr_flat.extend(1 if r and legendre(r, l) == 1 else 0 for r in range(l))
-    ells_a = np.array(ells, dtype=np.int64)
-    flat_a = np.array(qr_flat, dtype=np.int64)
-    off_a = np.array(qr_off, dtype=np.int64)
     x0, step = crt_pair(1, 8, p - 1, p)
-    count = 1 << 17
+    count = MAX_WINDOW
 
     # The wheel is memoised, so best-of timing reports the scan, not the
     # one-off wheel build.
     def scan():
-        _kernels.sieve_scan(x0, step, 0, count, ells_a, flat_a, off_a)
+        _kernels.sieve_scan(x0, step, 0, count, ells)
 
     return [(f"sieve_scan window={count} primes<=101", best_of(scan, repeats))]
 

@@ -134,23 +134,21 @@ WHEEL_LIMIT = 2_000_000
 
 
 @functools.lru_cache(maxsize=8)
-def _wheel(x0, step, ells_key, flat_key, off_key):
+def _wheel(x0, step, ells):
     """(W, sorted survivors of t mod W, ((l, allowed-by-t-mod-l table), ...)).
 
     n = x0 + t*step mod l depends only on t mod l, so each modulus turns
-    into a lookup table on t mod l.  The leading ones are folded into a CRT
-    wheel one at a time, extending the survivors mod W to survivors mod
-    W*l without ever listing all of 0..W-1.
+    into a lookup table on t mod l: whether that n is a nonzero square.  The
+    leading ones are folded into a CRT wheel one at a time, extending the
+    survivors mod W to survivors mod W*l without ever listing all of 0..W-1.
     """
-    ells = np.frombuffer(ells_key, dtype=np.int64)
-    flat = np.frombuffer(flat_key, dtype=np.int64)
-    offs = np.frombuffer(off_key, dtype=np.int64)
     W = 1
     survivors = np.zeros(1, dtype=np.int64)
     rest = []
-    for l, off in zip(ells.tolist(), offs.tolist()):
-        r = (x0 % l + np.arange(l, dtype=np.int64) * (step % l)) % l
-        allowed = (r != 0) & (flat[off + r] != 0)
+    for l in ells:
+        squares = np.zeros(l, dtype=bool)
+        squares[np.arange(1, l, dtype=np.int64) ** 2 % l] = True
+        allowed = squares[(x0 % l + np.arange(l, dtype=np.int64) * (step % l)) % l]
         if W * l <= WHEEL_LIMIT:
             lifted = (W * np.arange(l, dtype=np.int64)[:, None] + survivors).ravel()
             survivors = lifted[allowed[lifted % l]]
@@ -163,10 +161,9 @@ def _wheel(x0, step, ells_key, flat_key, off_key):
     return W, survivors, tuple(rest)
 
 
-def sieve_scan(x0, step, t_start, count, ells, qr_flat, qr_off):
-    """Candidates n = x0 + t*step, t in [t_start, t_start + count), whose
-    residue mod each ells[i] is a listed nonzero value in that prime's lookup
-    slice; increasing in t, at most 64 per call.
+def sieve_scan(x0, step, t_start, count, ells):
+    """Every n = x0 + t*step with t in [t_start, t_start + count) that is a
+    nonzero square modulo each odd prime in ells, in increasing order.
 
     Survivors come off a CRT wheel over the leading moduli (memoised per
     sieve problem) and are filtered against the remaining ones with table
@@ -174,13 +171,7 @@ def sieve_scan(x0, step, t_start, count, ells, qr_flat, qr_off):
     (ANTS IX, 2010).
     """
     x0, step, t_start, count = int(x0), int(step), int(t_start), int(count)
-    W, survivors, rest = _wheel(
-        x0,
-        step,
-        np.ascontiguousarray(ells, dtype=np.int64).tobytes(),
-        np.ascontiguousarray(qr_flat, dtype=np.int64).tobytes(),
-        np.ascontiguousarray(qr_off, dtype=np.int64).tobytes(),
-    )
+    W, survivors, rest = _wheel(x0, step, tuple(int(l) for l in ells))
     t_end = t_start + count
     base = t_start - t_start % W
     periods = -(-(t_end - base) // W)
@@ -190,4 +181,4 @@ def sieve_scan(x0, step, t_start, count, ells, qr_flat, qr_off):
         t = t[allowed[t % l]]
         if t.size == 0:
             break
-    return [int(h) for h in x0 + t[:64] * step]
+    return [int(h) for h in x0 + t * step]

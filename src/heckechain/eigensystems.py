@@ -81,7 +81,6 @@ class Eigensystem:
         self.base_primes = list(minpolys)
         self.index = -1
         self.is_old = False
-        self._space = space
         self._basis = block_basis
         self._minpolys = dict(minpolys)
         self._eigen: dict[int, int] = {}
@@ -103,7 +102,7 @@ class Eigensystem:
         return not any(
             poly_of_matrix(
                 self._minpolys[q],
-                _restrict(self._space.hecke_matrix(q), self._basis, ell),
+                _restrict(self._hecke_matrix(q), self._basis, ell),
                 ell,
             ).any()
             for q in self.base_primes
@@ -139,11 +138,16 @@ class Eigensystem:
         factor of the charpoly of T_q restricted to the block."""
         if q not in self._minpolys:
             self._check_prime(q)
-            _, fac = _block_factors(self._space.hecke_matrix(q), self._basis, self.ell)
+            _, fac = _block_factors(self._hecke_matrix(q), self._basis, self.ell)
             if len(fac) != 1:
                 raise DomainError(f"the operator at {q} splits the orbit's block")
             self._minpolys[q] = fac[0][0]
         return self._minpolys[q]
+
+    def _hecke_matrix(self, q: int) -> np.ndarray:
+        # The space is looked up, not held, so symbol_space's lru bound also
+        # bounds the spaces kept alive by cached decompositions.
+        return symbol_space(self.N, self.k, self.ell).hecke_matrix(q)
 
     def _check_prime(self, q: int) -> None:
         if not is_prime(q):
@@ -157,7 +161,7 @@ class Eigensystem:
 
     def _restriction(self, q: int) -> list[list[int]]:
         K = self._K
-        M = self._space.hecke_matrix(q)
+        M = self._hecke_matrix(q)
         W = apply_np_to_gvecs(M, self._V, K)
         n = len(self._V[0])
         C = [[self._V[j][i] for j in range(len(self._V))] for i in range(n)]

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arith import DomainError, crt_pair, is_prime, legendre, next_prime, primes_up_to
+from .arith import DomainError, crt_pair, is_prime, next_prime, primes_up_to
 from ._kernels import sieve_scan
 from .images import ImageClass, is_adequate
 
@@ -164,17 +162,19 @@ class GoodDihedralPair:
 
 
 # Largest supported protection bound: the search for q grows steeply with it
-# (on a 2-vCPU machine bound 127 takes about 15 s, 139 over 100 s).
+# (cold on a 2-vCPU machine bound 113 takes about 3 s, 127 about 6 s and 139
+# about 60 s).
 MAX_BOUND = 127
 
-# Scan state per (bound, p): primes q found so far in order, next t offset.
-_PAIR_CACHE: dict[tuple[int, int], dict] = {}
+# The sieve scans t in windows of FIRST_WINDOW values, doubling the window
+# after each one that holds no prime, up to MAX_WINDOW.
+FIRST_WINDOW = 1 << 12
+MAX_WINDOW = 1 << 22
 
-
-def _sieve_chunk(n_conditions: int) -> int:
-    # Sparse progressions (many splitting conditions) want fewer, larger
-    # kernel calls; dense ones would overflow the 64-hit buffer instead.
-    return 4096 if n_conditions <= 10 else 1 << 17
+# Scan state per (bound, p): the primes q found so far, in order, and the t
+# at which the scan resumes.  An entry is replaced whole, never mutated, so an
+# interrupted scan leaves the last consistent state behind.
+_PAIR_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
 
 def find_good_dihedral(bound: int, forbidden: tuple[int, ...] = ()) -> GoodDihedralPair:
@@ -193,51 +193,26 @@ def find_good_dihedral(bound: int, forbidden: tuple[int, ...] = ()) -> GoodDihed
     while p % 4 != 1 or p in forbidden:
         p = next_prime(p)
 
-    state = _PAIR_CACHE.get((bound, p))
-    if state is None:
-        ells = [l for l in primes_up_to(bound - 1) if l % 2 == 1]
-        # q = 1 mod 8 makes every (l/q) equal to the symbol of q mod l, so one
-        # residue table per l decides the splitting conditions.
-        qr_off = []
-        qr_flat: list[int] = []
-        for l in ells:
-            qr_off.append(len(qr_flat))
-            qr_flat.extend(
-                1 if r != 0 and legendre(r, l) == 1 else 0 for r in range(l)
-            )
-        x0, step = crt_pair(1, 8, p - 1, p)
-        state = {
-            "qs": [],
-            "next_t": 0,
-            "x0": x0,
-            "step": step,
-            "ells": np.array(ells, dtype=np.int64),
-            "qr_flat": np.array(qr_flat, dtype=np.int64),
-            "qr_off": np.array(qr_off, dtype=np.int64),
-        }
-        _PAIR_CACHE[(bound, p)] = state
-
-    for q in state["qs"]:
+    key = (bound, p)
+    qs, t = _PAIR_CACHE.get(key, ((), 0))
+    for q in qs:
         if q not in forbidden:
             return GoodDihedralPair(p, q)
 
-    x0, step = state["x0"], state["step"]
-    chunk = _sieve_chunk(len(state["ells"]))
+    # q = 1 mod 8 makes every (l/q) equal to (q/l), so each splitting
+    # condition asks q to be a nonzero square mod l.
+    ells = [l for l in primes_up_to(bound - 1) if l % 2 == 1]
+    x0, step = crt_pair(1, 8, p - 1, p)
+    window = FIRST_WINDOW
     while True:
-        t = state["next_t"]
-        hits = sieve_scan(
-            x0, step, t, chunk, state["ells"], state["qr_flat"], state["qr_off"]
-        )
-        if len(hits) == 64:
-            # Chunk saturated the hit buffer; resume right after the last one.
-            state["next_t"] = (hits[-1] - x0) // step + 1
-        else:
-            state["next_t"] = t + chunk
-        found = None
-        for cand in hits:
-            if is_prime(cand):
-                state["qs"].append(cand)
-                if found is None and cand not in forbidden:
-                    found = cand
-        if found is not None:
-            return GoodDihedralPair(p, found)
+        known = len(qs)
+        for q in sieve_scan(x0, step, t, window, ells):
+            if is_prime(q):
+                qs += (q,)
+                _PAIR_CACHE[key] = (qs, (q - x0) // step + 1)
+                if q not in forbidden:
+                    return GoodDihedralPair(p, q)
+        t += window
+        _PAIR_CACHE[key] = (qs, t)
+        if len(qs) == known:
+            window = min(2 * window, MAX_WINDOW)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -214,6 +217,20 @@ def test_min_poly_on_a_block_holding_two_orbits_is_refused():
     whole = Eigensystem(sp, np.eye(sp.cuspidal_dim, dtype=np.int64), {})
     with pytest.raises(DomainError, match="splits the orbit's block"):
         whole.min_poly(2)
+
+
+def test_cached_decomposition_does_not_keep_its_space_alive(monkeypatch):
+    # Orbits look their space up when they need an operator, so the lru
+    # bound of symbol_space also bounds the spaces the decompose cache keeps.
+    monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
+    space = weakref.ref(symbol_space(43, 2, 5))
+    systems = decompose(43, 2, 5)
+    symbol_space.cache_clear()
+    gc.collect()
+    assert space() is None
+    got = [(s.a(13), s.min_poly(17)) for s in systems]
+    monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
+    assert got == [(s.a(13), s.min_poly(17)) for s in decompose(43, 2, 5)]
 
 
 def refined_semisimple(s):

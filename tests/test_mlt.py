@@ -1,5 +1,6 @@
 import pytest
 
+from heckechain import mlt
 from heckechain.arith import DomainError, is_prime, legendre, primes_up_to
 from heckechain.images import ImageClass
 from heckechain.mlt import (
@@ -184,8 +185,7 @@ def test_good_dihedral_larger_bound():
 
 
 def test_good_dihedral_bound_101():
-    # The first hit lies near t = 2.87e8 on the progression q = x0 + 8*109*t,
-    # about 2190 sieve windows in.
+    # The first hit lies near t = 2.87e8 on the progression q = x0 + 8*109*t.
     pair = find_good_dihedral(101)
     assert pair == GoodDihedralPair(109, 250512128689)
     good_dihedral_conditions(pair, 101)
@@ -193,3 +193,102 @@ def test_good_dihedral_bound_101():
 
 def test_good_dihedral_is_deterministic_across_calls():
     assert find_good_dihedral(10) == find_good_dihedral(10)
+
+
+# The first six protecting primes q at three bounds, each pulled by forbidding
+# the ones before it.
+SUCCESSIVE_Q = {
+    10: (13, (2521, 8761, 13441, 16249, 19681, 24049)),
+    30: (37, (3980089, 4085761, 7504561, 9524761, 11069881, 12234049)),
+    62: (73, (1873751881, 6179298889, 7904941801, 9346329721, 9513924289, 12133838809)),
+}
+
+
+def pull_successive(bound, n):
+    forbidden = ()
+    pairs = []
+    for _ in range(n):
+        pair = find_good_dihedral(bound, forbidden)
+        pairs.append(pair)
+        forbidden += (pair.q,)
+    return pairs
+
+
+@pytest.mark.parametrize("bound", sorted(SUCCESSIVE_Q))
+def test_good_dihedral_successive_protecting_primes(monkeypatch, bound):
+    monkeypatch.setattr(mlt, "_PAIR_CACHE", {})
+    p, qs = SUCCESSIVE_Q[bound]
+    pairs = pull_successive(bound, len(qs))
+    assert pairs == [GoodDihedralPair(p, q) for q in qs]
+    for i, pair in enumerate(pairs):
+        good_dihedral_conditions(pair, bound, forbidden=qs[:i])
+
+
+def record_windows(monkeypatch):
+    """Patch the sieve seen by mlt to log each call's (t_start, count)."""
+    windows = []
+    scan = mlt.sieve_scan
+
+    def logged(x0, step, t_start, count, ells):
+        windows.append((t_start, count))
+        return scan(x0, step, t_start, count, ells)
+
+    monkeypatch.setattr(mlt, "sieve_scan", logged)
+    return windows
+
+
+def test_good_dihedral_window_stays_small_while_windows_yield_primes(monkeypatch):
+    # At bound 10 every window of the progression holds about a hundred
+    # primes, so a search past the first 300 never widens its window.
+    monkeypatch.setattr(mlt, "_PAIR_CACHE", {})
+    forbidden = tuple(pair.q for pair in pull_successive(10, 300))
+    monkeypatch.setattr(mlt, "_PAIR_CACHE", {})
+    windows = record_windows(monkeypatch)
+    pair = find_good_dihedral(10, forbidden)
+    assert pair.q not in forbidden and pair.q > max(forbidden)
+    w = mlt.FIRST_WINDOW
+    assert len(windows) >= 3
+    assert windows == [(i * w, w) for i in range(len(windows))]
+
+
+def test_good_dihedral_window_doubles_after_empty_windows(monkeypatch):
+    # At bound 62 the first nine windows hold no prime.
+    monkeypatch.setattr(mlt, "_PAIR_CACHE", {})
+    windows = record_windows(monkeypatch)
+    assert find_good_dihedral(62).q == SUCCESSIVE_Q[62][1][0]
+    w = mlt.FIRST_WINDOW
+    assert [count for _, count in windows] == [w << i for i in range(10)]
+    assert [t for t, _ in windows] == [w * ((1 << i) - 1) for i in range(10)]
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("target, calls_made", [("is_prime", 36), ("sieve_scan", 4)])
+def test_good_dihedral_scan_survives_interruption(monkeypatch, target, calls_made):
+    # The search below makes calls_made calls to target.  Cut short at any
+    # one of them, it leaves state from which later searches still find
+    # every protecting prime in order.
+    p, qs = SUCCESSIVE_Q[30]
+    real = getattr(mlt, target)
+    interrupted = 0
+    for stop in range(1, calls_made + 1):
+        monkeypatch.setattr(mlt, "_PAIR_CACHE", {})
+        calls = 0
+
+        def flaky(*args):
+            nonlocal calls
+            calls += 1
+            if calls == stop:
+                raise Interrupted
+            return real(*args)
+
+        monkeypatch.setattr(mlt, target, flaky)
+        try:
+            find_good_dihedral(30, qs[:3])
+        except Interrupted:
+            interrupted += 1
+        monkeypatch.setattr(mlt, target, real)
+        assert pull_successive(30, len(qs)) == [GoodDihedralPair(p, q) for q in qs]
+    assert interrupted == calls_made
