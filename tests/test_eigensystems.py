@@ -280,3 +280,25 @@ def test_construction_field_and_semisimple_need_no_eigenvector(monkeypatch):
     assert [(s.field.degree, s.semisimple) for s in systems] == [(1, True)] * 5 + [(2, False)]
     with pytest.raises(AssertionError, match="refined"):
         systems[0].a(2)
+
+
+# a(q) recorded from the eigenvector refinement before eigenvalues became
+# characters of the F_ell Hecke algebra.  Each block holds several systems
+# that agree at the base primes and part at later primes, so the value at a
+# later prime depends on which primes were asked for before it.
+QUERY_ORDER_PINS = [
+    (6, 6, 5, {7: 0, 11: 1, 13: 3}),
+    (6, 6, 5, {13: 2, 11: 0, 7: 1}),
+    (14, 4, 5, {11: 2, 13: 3, 17: 4, 19: 0, 23: 3}),
+    (14, 4, 5, {23: 0, 19: 2, 17: 1, 13: 1, 11: 3}),
+    (48, 2, 11, {7: 0, 13: 9, 17: 2, 19: 4, 23: 8}),
+    (48, 2, 11, {23: 3, 19: 7, 17: 2, 13: 9, 7: 0}),
+]
+
+
+@pytest.mark.parametrize("N, k, ell, pinned", QUERY_ORDER_PINS)
+def test_later_prime_values_follow_query_order(N, k, ell, pinned, monkeypatch):
+    monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
+    (s,) = decompose(N, k, ell)
+    assert s.degree == 1 and s.multiplicity > 1
+    assert {q: s.a(q) for q in pinned} == pinned
