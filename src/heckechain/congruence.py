@@ -60,7 +60,7 @@ def check_congruence(sys_a, sys_b, bound: int | None = None) -> CongruenceEdge:
     qs = comparison_primes(sys_a.N, sys_b.N, ell, b)
     if not qs:
         raise DomainError("no usable comparison primes below the bound")
-    # Collect values first; lazy queries may enlarge the systems' fields.
+    # Each system's values lie in its field, F_{ell^degree}.
     ta = {q: sys_a.a(q) for q in qs}
     tb = {q: sys_b.a(q) for q in qs}
     Ka, Kb = sys_a.field, sys_b.field

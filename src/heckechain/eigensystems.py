@@ -4,11 +4,10 @@ Blocks are generalized eigenspaces carved out by the operators at primes up to
 the Sturm bound that avoid the level and the working characteristic. Each
 block carries one orbit. Its degree, multiplicity, whether it is semisimple
 and the minimal polynomial of its eigenvalue at every prime come from F_ell
-linear algebra on the block. Only the eigenvalues a(q) use the extension
-field, and only from the first query on: a canonical member is then pinned
-down by refining a simultaneous eigenspace at the base primes in order, always
-taking the smallest available eigenvalue, and enlarging the field when a later
-operator's restriction has no eigenvalue in it.
+linear algebra on the block. The eigenvalues a(q) are a character of the
+F_ell Hecke algebra on the block, with values in its residue field
+F_{ell^degree} (Stein, *Modular Forms: A Computational Approach*, ch. 9):
+F_ell linear algebra plus one root per orbit, from the first query on.
 """
 
 from __future__ import annotations
@@ -26,10 +25,7 @@ from .gf import FiniteField, field
 from .matrix import (
     apply_np_to_gvecs,
     charpoly_mod,
-    gcharpoly,
-    gkernel,
-    gmat_sub_scalar,
-    gsolve_columns,
+    matrix_power,
     poly_of_matrix,
     right_kernel,
     solve_columns,
@@ -58,8 +54,11 @@ class Eigensystem:
 
     Degree, multiplicity and the base primes' minimal polynomials come from
     the split; `min_poly` elsewhere and `semisimple` restrict operators to the
-    block over F_ell. The first eigenvalue query builds the eigenvector over
-    F_{ell^degree}; later queries refine it and may enlarge the field.
+    block over F_ell. The first eigenvalue query writes the semisimple parts
+    at the base primes as polynomials in one generator T over F_ell and
+    keeps the conjugate root of T's minimal polynomial in F_{ell^degree}
+    whose base-prime values are least; a later prime shrinks the sub-block
+    where that character lives. The field never grows.
     """
 
     def __init__(
@@ -84,15 +83,16 @@ class Eigensystem:
         self._basis = block_basis
         self._minpolys = dict(minpolys)
         self._eigen: dict[int, int] = {}
-        # The eigenvector over self._K, built on the first eigenvalue query.
-        self._K: FiniteField | None = None
-        self._V: list[list[int]] | None = None
+        # The sub-block W where the chosen character lives and, from the
+        # first query on, the generator T on W and the chosen root's powers.
+        self._W = block_basis
+        self._T: np.ndarray | None = None
+        self._theta: list[int] = []
 
     @property
     def field(self) -> FiniteField:
-        """Working field: F_{ell^degree}, or larger once an eigenvalue query
-        has enlarged it."""
-        return field(self.ell, self.degree) if self._K is None else self._K
+        """F_{ell^degree}, which holds every eigenvalue of the orbit."""
+        return field(self.ell, self.degree)
 
     @cached_property
     def semisimple(self) -> bool:
@@ -123,14 +123,11 @@ class Eigensystem:
 
     def a(self, q: int) -> int:
         """Eigenvalue at q as an element encoding in self.field."""
-        if self._V is None:
-            self._K = self.field
-            self._V = self._basis.T.tolist()
-            for p in self.base_primes:
-                self._refine(p)
+        if not self._theta:
+            self._character()
         if q not in self._eigen:
             self._check_prime(q)
-            self._refine(q)
+            self._narrow(q)
         return self._eigen[q]
 
     def min_poly(self, q: int) -> polys.Poly:
@@ -157,64 +154,94 @@ class Eigensystem:
         if q == self.ell:
             raise DomainError("eigenvalue at the working characteristic")
 
-    # -- internal refinement ---------------------------------------------------
+    # -- the character -----------------------------------------------------
 
-    def _restriction(self, q: int) -> list[list[int]]:
-        K = self._K
-        M = self._hecke_matrix(q)
-        W = apply_np_to_gvecs(M, self._V, K)
-        n = len(self._V[0])
-        C = [[self._V[j][i] for j in range(len(self._V))] for i in range(n)]
-        B = [[W[j][i] for j in range(len(W))] for i in range(n)]
-        try:
-            return gsolve_columns(K, C, B)
-        except DomainError as exc:
-            raise DomainError(
-                "operator does not act proportionally on the refined eigenspace"
-            ) from exc
+    def _semisimple_part(self, q: int) -> np.ndarray:
+        """S_q = R_q^e for R_q = T_q on W and e the least power of ell^degree
+        >= block_dim: R_q's nilpotent part dies, its eigenvalues stay fixed."""
+        e, order = 1, self.ell**self.degree
+        while e < self.block_dim:
+            e *= order
+        return matrix_power(_restrict(self._hecke_matrix(q), self._W, self.ell), e, self.ell)
 
-    def _refine(self, q: int) -> None:
-        R = self._restriction(q)
-        K = self._K
-        cp = gcharpoly(K, R)
-        rts = polys.roots(K, cp)
-        if not rts:
-            fac = polys.factor(K, cp)
-            ext = min(polys.degree(f) for f, _ in fac)
-            self._extend(ext)
-            self._refine(q)
-            return
-        alpha = rts[0]
-        ker = gkernel(K, gmat_sub_scalar(K, R, alpha))
-        n = len(self._V[0])
-        newV = []
-        for vec in ker:
-            combo = [0] * n
-            for i, coef in enumerate(vec):
-                if coef:
-                    vi = self._V[i]
-                    combo = [K.add(x, K.mul(coef, y)) for x, y in zip(combo, vi)]
-            newV.append(combo)
-        self._V = newV
-        self._eigen[q] = alpha
+    def _character(self) -> None:
+        """Base-prime values at the conjugate of theta whose tuple is least."""
+        ell, d = self.ell, self.degree
+        S = {p: self._semisimple_part(p) for p in self.base_primes}
+        g = next((p for p in S if polys.degree(self._minpolys[p]) == d), None)
+        if d == 1:
+            T, f = np.eye(self.block_dim, dtype=np.int64), (ell - 1, 1)
+        elif g is None:
+            raise DomainError("no base prime generates the orbit's Hecke algebra")
+        else:
+            T, f = S[g], self._minpolys[g]
+        K = self.field
+        theta = polys.one_root(K, f)
+        conjugates = [K.frobenius(theta, j) for j in range(d)]
+        powers = [[K.pow(c, i) for i in range(d)] for c in conjugates]
+        values = apply_np_to_gvecs(_in_powers(T, list(S.values()), d, ell), powers, K)
+        j = min(range(d), key=values.__getitem__)
+        self._eigen = dict(zip(self.base_primes, values[j]))
+        self._T, self._theta = T, powers[j]
 
-    def _extend(self, e: int) -> None:
-        K = self._K
-        K2 = field(self.ell, K.degree * e)
-        images = polys.embeddings(K, K2)[0]
+    def _narrow(self, q: int) -> None:
+        """a(q) on the piece of W, split by the semisimple part at q, where
+        the character takes its smallest value; W becomes that piece."""
+        ell = self.ell
+        S = self._semisimple_part(q)
+        fac = polys.factor(field(ell), charpoly_mod(S, ell))
+        pieces = _split_block(S, fac, ell) if len(fac) > 1 else [(None, fac[0][0])]
+        found = []
+        for P, f in pieces:
+            if self.degree % polys.degree(f):
+                continue  # its eigenvalues lie outside the field
+            T, S_P = self._T, S
+            if P is not None:
+                T, S_P = _restrict(T, P, ell), _restrict(S, P, ell)
+            g = _in_powers(T, [S_P], self.degree, ell)
+            found.append((apply_np_to_gvecs(g, [self._theta], self.field)[0][0], P, T))
+        if not found:
+            raise DomainError(f"the eigenvalue at {q} needs a larger field")
+        self._eigen[q], P, self._T = min(found, key=lambda piece: piece[0])
+        if P is not None:
+            self._W = matmul_mod(self._W, P, ell)
 
-        def emb(a: int) -> int:
-            return polys.apply_embedding(K, K2, images, a)
 
-        self._V = [[emb(x) for x in v] for v in self._V]
-        self._eigen = {q: emb(a) for q, a in self._eigen.items()}
-        self._K = K2
+def _in_powers(T: np.ndarray, S: list[np.ndarray], d: int, ell: int) -> np.ndarray:
+    """Rows g_i with S_i = g_i(T) over F_ell, as coefficients of I, T, ...,
+    T^(d-1); T's minimal polynomial has degree d."""
+    n = T.shape[0]
+    powers = [np.eye(n, dtype=np.int64)]
+    for _ in range(d - 1):
+        powers.append(matmul_mod(powers[-1], T, ell))
+    C = np.array([P.ravel() for P in powers]).T
+    B = np.array([X.ravel() for X in S], dtype=np.int64).reshape(len(S), n * n).T
+    try:
+        return solve_columns(C, B, ell).T
+    except DomainError as exc:
+        raise DomainError("the block's Hecke algebra is not generated by one operator") from exc
 
 
 def _restrict(M: np.ndarray, basis: np.ndarray, ell: int) -> np.ndarray:
     """Matrix of M restricted to the invariant subspace spanned by the columns
     of basis over F_ell."""
     return solve_columns(basis, matmul_mod(M, basis, ell), ell)
+
+
+def _split_block(R: np.ndarray, fac, ell: int) -> list[tuple[np.ndarray, polys.Poly]]:
+    """The generalized eigenspace of R for each factor f^mult of its charpoly,
+    as kernel columns of f(R)^mult in R's coordinates, with f."""
+    out = []
+    for f, mult in fac:
+        P = poly_of_matrix(f, R, ell)
+        Pm = np.eye(R.shape[0], dtype=np.int64)
+        for _ in range(mult):
+            Pm = matmul_mod(Pm, P, ell)
+        ker = right_kernel(Pm, ell)
+        if ker.shape[1] != mult * polys.degree(f):
+            raise DomainError("block splitting failed to isolate a single factor")
+        out.append((ker, f))
+    return out
 
 
 def _block_factors(M: np.ndarray, basis: np.ndarray, ell: int):
@@ -249,15 +276,8 @@ def decompose(N: int, k: int, ell: int) -> list[Eigensystem]:
             if len(fac) == 1:
                 nxt.append((basis, {**minpolys, q: fac[0][0]}))
                 continue
-            for f, mult in fac:
-                P = poly_of_matrix(f, R, ell)
-                Pm = np.eye(R.shape[0], dtype=np.int64)
-                for _ in range(mult):
-                    Pm = matmul_mod(Pm, P, ell)
-                child = matmul_mod(basis, right_kernel(Pm, ell), ell)
-                if child.shape[1] != mult * polys.degree(f):
-                    raise DomainError("block splitting failed to isolate a single factor")
-                nxt.append((child, {**minpolys, q: f}))
+            for ker, f in _split_block(R, fac, ell):
+                nxt.append((matmul_mod(basis, ker, ell), {**minpolys, q: f}))
         blocks = nxt
     systems = [Eigensystem(space, basis, minpolys) for basis, minpolys in blocks]
     systems.sort(key=lambda s: (s.degree, [s._minpolys[q] for q in qs]))

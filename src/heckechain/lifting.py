@@ -226,45 +226,43 @@ class IntegralClasses:
 
     # -- queries ------------------------------------------------------------
 
-    def _secondary(self) -> int:
-        """A second reference characteristic with one representative orbit per
-        class; needed to assign factors when an operator prime coincides with
-        the anchor characteristic."""
-        for ell in self._reps:
-            if ell != self.anchor:
-                return ell
+    def _references(self, q: int):
+        """Reference characteristics other than q, the anchor first, each with
+        representatives: the orbits that map to exactly one class."""
+        yield from [ell for ell in self._reps if ell != q]
         candidates = (
             ell for ell in valid_characteristics(self.N, self.k)
-            if ell != self.anchor and ell not in self.base_primes
+            if ell not in self._reps and ell != q and ell not in self.base_primes
         )
         for ell in islice(candidates, _MAX_ANCHOR_TRIES):
             try:
                 mapping = orbit_class_map(self.N, self.k, ell, self.classes)
             except DomainError:
                 continue
-            if any(len(v) != 1 for v in mapping.values()):
-                continue
-            if {v[0] for v in mapping.values()} != set(range(len(self.classes))):
-                continue
             reps = self._reps[ell] = {}
             for s in decompose(self.N, self.k, ell):
-                reps.setdefault(mapping[s.index][0], s)
-            return ell
-        raise DomainError("no secondary characteristic gives a clean class mapping")
+                if len(mapping[s.index]) == 1:
+                    reps.setdefault(mapping[s.index][0], s)
+            yield ell
 
     def factor_for(self, index: int, q: int) -> tuple[int, ...]:
+        """The integer factor at q that each reference orbit's minimal
+        polynomial divides mod its characteristic, narrowed until one is left."""
         if (index, q) in self._class_factor:
             return self._class_factor[(index, q)]
         if self.N % q == 0:
             raise DomainError("no operator factor at a prime dividing the level")
         if not is_prime(q):
             raise DomainError("operator factors are indexed by primes")
-        ell = self._secondary() if q == self.anchor else self.anchor
-        hits = self._matching_factors(self._reps[ell][index], q)
-        if len(hits) != 1:
-            raise DomainError(f"ambiguous integer factor assignment at {q}")
-        self._class_factor[(index, q)] = hits[0]
-        return hits[0]
+        hits = None
+        for ell in self._references(q):
+            if index in self._reps[ell]:
+                found = self._matching_factors(self._reps[ell][index], q)
+                hits = found if hits is None else [F for F in hits if F in found]
+                if len(hits) == 1:
+                    self._class_factor[(index, q)] = hits[0]
+                    return hits[0]
+        raise DomainError(f"ambiguous integer factor assignment at {q}")
 
 
 _CLASSES_CACHE: dict[tuple[int, int], IntegralClasses] = {}

@@ -1,8 +1,10 @@
 """Linear algebra over prime fields (numpy int64) and over extension fields.
 
 Prime-field matrices are numpy int64 arrays reduced mod p and go through the
-numpy kernels of `_kernels`. Extension-field matrices stay small (eigenspace refinement
-blocks), so they are plain lists of integer-encoded field elements.
+numpy kernels of `_kernels`. `apply_np_to_gvecs` applies one to vectors over
+an extension field, which evaluates polynomials at an orbit's conjugate
+roots; the list routines `grref`, `gkernel`, `gsolve_columns` and `gcharpoly`
+have no caller in the package.
 
 Both characteristic polynomials, `charpoly_mod` and `gcharpoly`, reduce to
 upper Hessenberg form in their own representation and then share one
@@ -120,16 +122,19 @@ def poly_of_matrix(f: Poly, a: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def matrix_power(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e over F_p, by squaring along the bits of e from the top."""
+    out = np.eye(a.shape[0], dtype=np.int64)
+    for bit in bin(e)[2:]:
+        out = matmul_mod(out, out, p)
+        if bit == "1":
+            out = matmul_mod(out, a, p)
+    return out
+
+
 # -- generic field, small dense ----------------------------------------------
 
 GMat = list[list[int]]
-
-
-def gmat_sub_scalar(F: FiniteField, A: GMat, c: int) -> GMat:
-    out = [list(r) for r in A]
-    for i in range(len(out)):
-        out[i][i] = F.sub(out[i][i], c)
-    return out
 
 
 def grref(F: FiniteField, A: GMat):

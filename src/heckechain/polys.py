@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from .arith import DomainError, is_prime
+from .arith import DomainError
 
 if TYPE_CHECKING:
     from .gf import FiniteField
@@ -133,18 +133,15 @@ def derivative(F: FiniteField, f: Poly) -> Poly:
 
 
 def is_irreducible(F: FiniteField, f: Poly) -> bool:
+    """Ben-Or's test: a reducible f has an irreducible factor of some degree
+    i <= deg f / 2, which divides x^(q^i) - x; the loop stops at the first."""
     d = degree(f)
     if d < 1:
         return False
-    if d == 1:
-        return True
-    q = F.order
-    xq = pow_mod(F, X, q**d, f)
-    if sub(F, xq, X):
-        return False
-    for r in {r for r in range(2, d + 1) if d % r == 0 and is_prime(r)}:
-        g = gcd(F, sub(F, pow_mod(F, X, q ** (d // r), f), X), f)
-        if degree(g) > 0:
+    h = X
+    for _ in range(d // 2):
+        h = pow_mod(F, h, F.order, f)
+        if degree(gcd(F, sub(F, h, X), f)) > 0:
             return False
     return True
 
@@ -219,14 +216,12 @@ def _random_poly(F: FiniteField, rng: random.Random, deg: int) -> Poly:
     return trim([rng.randrange(F.order) for _ in range(deg)] + [1])
 
 
-def equal_degree_split(F: FiniteField, f: Poly, d: int) -> list[Poly]:
-    """Factor squarefree monic f whose irreducible factors all have degree d,
-    in odd characteristic (Cantor-Zassenhaus)."""
-    n = degree(f)
-    if n == d:
-        return [f]
+def _split(F: FiniteField, f: Poly, d: int) -> tuple[Poly, Poly]:
+    """One Cantor-Zassenhaus step: f, squarefree monic with irreducible
+    factors all of degree d < deg f, as a product of two proper factors."""
     if F.p == 2:
         raise DomainError("equal-degree splitting needs odd characteristic")
+    n = degree(f)
     rng = random.Random(_split_seed(F, f))
     q = F.order
     while True:
@@ -238,11 +233,27 @@ def equal_degree_split(F: FiniteField, f: Poly, d: int) -> list[Poly]:
             b = pow_mod(F, a, (q**d - 1) // 2, f)
             g = gcd(F, sub(F, b, (1,)), f)
         if 0 < degree(g) < n:
-            h = divmod_poly(F, f, g)[0]
-            return sorted(
-                equal_degree_split(F, g, d) + equal_degree_split(F, h, d),
-                key=lambda t: (degree(t), t),
-            )
+            return g, divmod_poly(F, f, g)[0]
+
+
+def equal_degree_split(F: FiniteField, f: Poly, d: int) -> list[Poly]:
+    """Factor squarefree monic f whose irreducible factors all have degree d,
+    in odd characteristic (Cantor-Zassenhaus)."""
+    if degree(f) == d:
+        return [f]
+    g, h = _split(F, f, d)
+    return sorted(
+        equal_degree_split(F, g, d) + equal_degree_split(F, h, d),
+        key=lambda t: (degree(t), t),
+    )
+
+
+def one_root(F: FiniteField, f: Poly) -> int:
+    """A root of monic f, a product of distinct linear factors over F: each
+    split keeps only its smaller factor."""
+    while degree(f) > 1:
+        f = min(_split(F, f, 1), key=degree)
+    return F.neg(f[0])
 
 
 def factor(F: FiniteField, f: Poly) -> list[tuple[Poly, int]]:

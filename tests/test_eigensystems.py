@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from heckechain import eigensystems, polys
+from heckechain import eigensystems, matrix, polys
 from heckechain.arith import DomainError, primes_up_to
 from heckechain.eigensystems import (
     Eigensystem,
@@ -136,22 +136,35 @@ def test_eigenvalue_preconditions():
             query(7)
 
 
+def joint_eigenspace(K, mats, values):
+    """Joint kernel over K of M - a for prime-field matrices M and values a."""
+    rows = []
+    for M, a in zip(mats, values):
+        for i, row in enumerate(M.tolist()):
+            rows.append([K.sub(x % K.p, a) if i == j else x % K.p for j, x in enumerate(row)])
+    return matrix.gkernel(K, rows)
+
+
 def test_eigenvector_satisfies_hecke_equation():
-    # The stored eigenvector must be a genuine simultaneous eigenvector.
+    # An eigenvector for the base-prime values, built here over the orbit's
+    # field, must satisfy T_q v = a(q) v at every prime.
     ell = 7
     sp = symbol_space(23, 2, ell)
     s = decompose(23, 2, ell)[0]
     F = s.field
+    vs = joint_eigenspace(
+        F, [sp.hecke_matrix(p) for p in s.base_primes], [s.a(p) for p in s.base_primes]
+    )
+    assert len(vs) * s.degree == s.block_dim
     for q in (2, 3, 5, 13):
         aq = s.a(q)
         M = sp.hecke_matrix(q)
-        v = s._V[0]
-        Mv = [
-            F.add(0, sum_vec(F, [F.scalar_mul(int(M[i, j]) % ell, v[j]) for j in range(len(v))]))
-            for i in range(M.shape[0])
-        ]
-        expect = [F.mul(aq, x) for x in v]
-        assert Mv == expect, q
+        for v in vs:
+            Mv = [
+                sum_vec(F, [F.scalar_mul(int(M[i, j]) % ell, v[j]) for j in range(len(v))])
+                for i in range(M.shape[0])
+            ]
+            assert Mv == [F.mul(aq, x) for x in v], q
 
 
 def sum_vec(F, xs):
@@ -198,14 +211,14 @@ def test_min_poly_equals_conjugate_product_of_eigenvalue(N, k, ell):
                 assert s.min_poly(q) == conjugate_product(s, q), (s.label, q)
 
 
+def no_root(K, f):
+    raise AssertionError("a root was taken in the orbit's field")
+
+
 def test_min_poly_beyond_base_primes_needs_no_eigenvector(monkeypatch):
     monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
     (s,) = decompose(23, 2, 7)
-
-    def no_refinement(self, q):
-        raise AssertionError("min_poly refined the eigenvector")
-
-    monkeypatch.setattr(Eigensystem, "_refine", no_refinement)
+    monkeypatch.setattr(polys, "one_root", no_root)
     assert s.base_primes == [2, 3]
     assert s.min_poly(17) == (4, 1, 1)
     assert s.min_poly(13) == (4, 1)
@@ -217,6 +230,20 @@ def test_min_poly_on_a_block_holding_two_orbits_is_refused():
     whole = Eigensystem(sp, np.eye(sp.cuspidal_dim, dtype=np.int64), {})
     with pytest.raises(DomainError, match="splits the orbit's block"):
         whole.min_poly(2)
+
+
+def test_eigenvalue_outside_the_orbit_field_is_refused():
+    # Taken as one degree-1 orbit, the whole space of 23.2.7 has its
+    # eigenvalue at 2 only in F_49, and the field does not grow to hold it.
+    sp = symbol_space(23, 2, 7)
+    whole = Eigensystem(sp, np.eye(sp.cuspidal_dim, dtype=np.int64), {})
+    with pytest.raises(DomainError, match="needs a larger field"):
+        whole.a(2)
+    # Taken as one orbit, the whole space of 67.2.5 splits at 2, and the
+    # query keeps the piece with the smaller eigenvalue.
+    sp = symbol_space(67, 2, 5)
+    whole = Eigensystem(sp, np.eye(sp.cuspidal_dim, dtype=np.int64), {})
+    assert whole.a(2) == min(s.a(2) for s in decompose(67, 2, 5))
 
 
 def test_cached_decomposition_does_not_keep_its_space_alive(monkeypatch):
@@ -234,13 +261,16 @@ def test_cached_decomposition_does_not_keep_its_space_alive(monkeypatch):
 
 
 def refined_semisimple(s):
-    """Semisimplicity read off the refined eigenvector: the simultaneous
-    eigenspace of one conjugate fills its share block_dim / degree of the
-    block exactly when every operator acts semisimply."""
-    if s.base_primes:
-        s.a(s.base_primes[0])
-        return len(s._V) * s.degree == s.block_dim
-    return True
+    """Semisimplicity read off the joint eigenspace over s.field of the
+    base-prime operators on the block: the eigenspace of one conjugate fills
+    its share block_dim / degree of the block exactly when every operator
+    acts semisimply."""
+    sp = symbol_space(s.N, s.k, s.ell)
+    restricted = [
+        eigensystems._restrict(sp.hecke_matrix(p), s._basis, s.ell) for p in s.base_primes
+    ]
+    vs = joint_eigenspace(s.field, restricted, [s.a(p) for p in s.base_primes])
+    return len(vs) * s.degree == s.block_dim
 
 
 @pytest.mark.parametrize(
@@ -269,16 +299,12 @@ def test_semisimple_over_f_ell_matches_refinement(N, k, ell, has_non_semisimple,
 
 def test_construction_field_and_semisimple_need_no_eigenvector(monkeypatch):
     monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
-
-    def no_refinement(self, q):
-        raise AssertionError("the eigenvector was refined")
-
-    monkeypatch.setattr(Eigensystem, "_refine", no_refinement)
+    monkeypatch.setattr(polys, "one_root", no_root)
     systems = decompose(49, 4, 5)
     assert charpoly_halved(49, 4, 5, 19)
     assert IntegralClasses(37, 2).classes
     assert [(s.field.degree, s.semisimple) for s in systems] == [(1, True)] * 5 + [(2, False)]
-    with pytest.raises(AssertionError, match="refined"):
+    with pytest.raises(AssertionError, match="root was taken"):
         systems[0].a(2)
 
 

@@ -1,7 +1,9 @@
+from itertools import islice
+
 import pytest
 
-from heckechain import lifting
-from heckechain.arith import DomainError
+from heckechain import lifting, polys
+from heckechain.arith import DomainError, primes_up_to
 from heckechain.eigensystems import decompose
 from heckechain.lifting import (
     integral_classes,
@@ -141,3 +143,32 @@ def test_orbit_class_map_tracks_a_split_orbit():
     assert len(systems) == 2
     assert all(s.degree == 1 for s in systems)
     assert mapping == {0: [0], 1: [0]}
+
+
+@pytest.mark.parametrize("N", [38, 62])
+def test_factors_beyond_base_primes_vanish_at_eigenvalues_mod_other_characteristics(N):
+    # At 38 (q = 29) and 62 (q = 17, its anchor) one reference orbit's
+    # minimal polynomial divides two integer factors.  Whatever factor_for
+    # settles on must vanish at the eigenvalue a(q) of the class's orbits
+    # at other characteristics, matched by their base-prime values alone.
+    ic = integral_classes(N, 2)
+    qs = [q for q in primes_up_to(50) if N % q]
+    table = {(i, q): ic.factor_for(i, q) for i in range(len(ic.classes)) for q in qs}
+    others = [ell for ell in islice(lifting.valid_characteristics(N, 2), 4) if ell != ic.anchor]
+    checked = 0
+    for ell in others[:3]:
+        for s in decompose(N, 2, ell):
+
+            def vanishes(i, q):
+                F = tuple(c % ell for c in table[i, q])
+                return polys.evaluate(s.field, F, s.a(q)) == 0
+
+            matches = [
+                i for i in range(len(ic.classes))
+                if all(vanishes(i, p) for p in ic.base_primes if p != ell)
+            ]
+            if len(matches) != 1:
+                continue
+            assert all(vanishes(matches[0], q) for q in qs if q != ell), (ell, s.label)
+            checked += 1
+    assert checked >= 2 * len(ic.classes)

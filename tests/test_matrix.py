@@ -67,13 +67,6 @@ def test_solve_columns_round_trip():
     assert np.array_equal(C @ solved % p, B)
 
 
-def test_generic_field_matrix_ops():
-    F = field(5, 2)
-    A = [[F.encode((1, 1)), 2], [0, 3]]
-    B = matrix.gmat_sub_scalar(F, A, 3)
-    assert B[1][1] == 0
-
-
 def test_gkernel_matches_prime_field_kernel():
     p = 7
     rng = np.random.default_rng(5)

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckechain import polys
+from heckechain import gf, polys
 from heckechain.arith import DomainError
 from heckechain.gf import field
 
@@ -170,3 +171,41 @@ def test_equal_degree_split_refuses_characteristic_two():
     with pytest.raises(DomainError, match="odd characteristic"):
         polys.equal_degree_split(F, f, 1)
     assert polys.equal_degree_split(F, (1, 1), 1) == [(1, 1)]
+
+
+def monic_polys(p, d):
+    for low in itertools.product(range(p), repeat=d):
+        yield (*low, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ben_or_irreducibility_matches_factoring(p):
+    F = field(p)
+    for d in range(1, 5):
+        for f in monic_polys(p, d):
+            assert polys.is_irreducible(F, f) == (polys.factor(F, f) == [(f, 1)]), f
+    assert not polys.is_irreducible(F, ())
+    assert not polys.is_irreducible(F, (1,))
+
+
+@pytest.mark.parametrize("p, d", [(3, 5), (5, 4), (7, 3), (13, 2)])
+def test_canonical_modulus_is_first_irreducible_by_factoring(p, d):
+    Fp = field(p)
+    by_low_part = sorted(monic_polys(p, d), key=lambda f: sum(c * p**i for i, c in enumerate(f)))
+    first = next(f for f in by_low_part if polys.factor(Fp, f) == [(f, 1)])
+    assert gf._canonical_modulus(p, d) == first
+
+
+@pytest.mark.parametrize("p, d", [(7, 1), (7, 3), (13, 2), (5, 6)])
+def test_one_root_of_a_split_polynomial(p, d):
+    F = field(p, d)
+    rng = random.Random(p * d)
+    rts = set()
+    while len(rts) < 6:
+        rts.add(rng.randrange(F.order))
+    f = (1,)
+    for r in rts:
+        f = polys.mul(F, f, (F.neg(r), 1))
+    assert polys.one_root(F, f) in rts
+    # The modulus of F splits into distinct linear factors over F itself.
+    assert polys.evaluate(F, F.modulus, polys.one_root(F, F.modulus)) == 0
