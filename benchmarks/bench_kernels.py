@@ -2,7 +2,8 @@
 
 Each row is the best of N calls of one kernel on a fixed input; a
 ``FiniteField.mul`` row times a batch of 1000 multiplies of seeded random
-element pairs.
+element pairs, and the ``pow_mod`` row raises a seeded degree-18 polynomial
+to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
@@ -13,7 +14,7 @@ import time
 
 import numpy as np
 
-from heckechain import _kernels
+from heckechain import _kernels, polys
 from heckechain.arith import crt_pair, primes_up_to
 from heckechain.gf import field
 from heckechain.mlt import MAX_WINDOW
@@ -82,6 +83,17 @@ def bench_field_mul(repeats):
     return rows
 
 
+def bench_pow_mod(repeats):
+    # The shape of one Cantor-Zassenhaus split in `polys.one_root` on the
+    # degree-18 orbit of 389.2.7: a degree-18 modulus over F_7^18.
+    F = field(7, 18)
+    rng = random.Random(718)
+    m = tuple(rng.randrange(F.order) for _ in range(18)) + (1,)
+    a = tuple(rng.randrange(F.order) for _ in range(18)) + (rng.randrange(1, F.order),)
+    e = (F.order - 1) // 2
+    return [("pow_mod F_7^18 deg 18", best_of(lambda: polys.pow_mod(F, a, e, m), repeats))]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -92,6 +104,7 @@ def main(argv=None):
         + bench_hecke(args.repeats)
         + bench_sieve(args.repeats)
         + bench_field_mul(args.repeats)
+        + bench_pow_mod(args.repeats)
     )
     width = max(len(label) for label, _ in rows)
     for label, t in rows:

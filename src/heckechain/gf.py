@@ -80,15 +80,8 @@ class FiniteField:
     def _init_extension(self) -> None:
         """Canonical modulus and the packing data of ``mul``."""
         p, d = self.p, self.degree
-        bound = 2 * d * (p - 1) ** 2 + p
-        width = next((w for w in (16, 32, 64) if bound.bit_length() <= w), None)
-        if width is None:
-            raise DomainError(
-                f"F_{p}^{d} is too large for packed multiplication: "
-                f"slot bound 2d(p-1)^2 + p has {bound.bit_length()} bits"
-            )
+        self._width = width = polys.slot_width(2 * d * (p - 1) ** 2 + p, f"F_{p}^{d}")
         self.modulus = _canonical_modulus(p, d)
-        self._width = width
         self._typecode = _SLOT_TYPECODES[width]
         chunk = 1
         while p ** (chunk + 1) <= _PACK_TABLE_LIMIT:

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb, isqrt
 
-import sympy
-
 from . import polys
 from .arith import DomainError, crt_pair, is_prime, next_prime, primes_up_to, symmetric_lift
 from .dims import dim_cusp_forms
@@ -88,6 +86,8 @@ def lift_charpoly(N: int, k: int, q: int) -> tuple[int, ...]:
 def _z_factors(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Distinct monic irreducible integer factors (little-endian), sorted by
     (degree, coefficients)."""
+    import sympy  # here, so that commands that lift nothing never load it
+
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(coeffs)), x, domain="ZZ")
     _, fac = poly.factor_list()

@@ -5,12 +5,25 @@ trailing zeros; the zero polynomial is the empty tuple. Factorization runs
 squarefree / distinct-degree / equal-degree splitting with a PRNG seeded from
 the input, so factor order and the factors themselves are reproducible. The
 equal-degree step, and with it root finding, needs odd characteristic.
+
+Over F = F_{p^d}, d > 1, ``pow_mod`` packs an element of F[x]/(m), n = deg m,
+as n x d base-p digits into one int, the digit of x^i alpha^j in slot
+i(2d-1) + j, so a product is one big-int multiply (Kronecker substitution,
+von zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4).  A product slot
+sums at most nd(p-1)^2, and its width follows ``gf``'s rule: the smallest of
+16, 32 or 64 bits, else refused.  numpy reads the product out, folds
+alpha-degrees d .. 2d-2 back through alpha^j mod F's modulus and x-degrees
+n .. 2n-2 through one F_p-linear map built per call.  Over F_p that costs
+more than the coefficient loop, whose products are machine-size, so d = 1
+keeps the loop.
 """
 
 from __future__ import annotations
 
 import random
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .arith import DomainError
 
@@ -110,9 +123,74 @@ def xgcd(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return scale(F, c, r0), scale(F, c, s0)
 
 
+def slot_width(bound: int, what: str) -> int:
+    """Smallest of 16, 32 or 64 bits that holds a packed slot's bound."""
+    for width in (16, 32, 64):
+        if bound.bit_length() <= width:
+            return width
+    raise DomainError(f"{what} is too large for packed multiplication: slot bound has {bound.bit_length()} bits")
+
+
+def _fold_map(top: np.ndarray, count: int, p: int) -> np.ndarray:
+    """F_p-linear map from coefficients (b digits each) at y^n .. y^(n+count-1)
+    to their residues mod a monic g of degree n, b rows per power; ``top`` is
+    the block of y^n, the products with -g_0 .. -g_(n-1)."""
+    b = top.shape[0]
+    blocks = [top]
+    for _ in range(count - 1):
+        cur = blocks[-1]
+        blocks.append((np.pad(cur[:, :-b], ((0, 0), (b, 0))) + cur[:, -b:] @ top % p) % p)
+    return np.vstack(blocks)[: count * b]
+
+
+def _pow_mod_packed(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
+    """f^e mod monic m over F = F_{p^d}, d > 1, f reduced and nonzero."""
+    p, d, n = F.p, F.degree, degree(m)
+    width = slot_width(n * d * (p - 1) ** 2, f"F_{p}^{d}[x] mod a degree-{n} polynomial")
+    dtype = np.dtype(f"<u{width // 8}")
+    stride = 2 * d - 1  # alpha-degrees of one x-coefficient of a product
+    nbytes = stride * dtype.itemsize  # per x-coefficient
+
+    def digits(poly: Poly) -> np.ndarray:
+        return np.array([F.decode(c) for c in poly], dtype=np.uint64).reshape(-1, d)
+
+    def pack(rows: np.ndarray) -> int:
+        out = np.zeros((n, stride), dtype=dtype)
+        out[: len(rows), :d] = rows
+        return int.from_bytes(out.tobytes(), "little")
+
+    # alpha^d .. alpha^(2d-2) mod F's modulus, then multiplication by each -m_k.
+    alpha = _fold_map((p - np.array([F.modulus[:d]], dtype=np.uint64)) % p, d - 1, p)
+    powers = np.vstack([np.eye(d, dtype=np.uint64), alpha])
+    window = np.stack([powers[t : t + d] for t in range(d)])
+    neg = np.tensordot((p - digits(m[:n])) % p, window, 1) % p
+    xfold = _fold_map(neg.transpose(1, 0, 2).reshape(d, n * d), n - 1, p)
+
+    def mulmod(a: int, b: int) -> int:
+        c = np.frombuffer((a * b).to_bytes((2 * n - 1) * nbytes, "little"), dtype)
+        c = c.reshape(2 * n - 1, stride).astype(np.uint64) % p
+        c = (c[:, :d] + c[:, d:] @ alpha % p) % p
+        low = (c[:n].reshape(-1) + c[n:].reshape(-1) @ xfold % p) % p
+        return pack(low.reshape(n, d))
+
+    result, base = 1, pack(digits(f))
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        e >>= 1
+        if e:
+            base = mulmod(base, base)
+    rows = np.frombuffer(result.to_bytes(n * nbytes, "little"), dtype).reshape(n, stride)
+    return trim(F.encode(r[:d]) for r in rows)
+
+
 def pow_mod(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
-    result: Poly = (1,)
     f = mod(F, f, m)
+    if not f:  # so the packed path never meets a constant m
+        return () if e else (1,)
+    if F.degree > 1:
+        return _pow_mod_packed(F, f, e, monic(F, m))
+    result: Poly = (1,)
     while e:
         if e & 1:
             result = mod(F, mul(F, result, f), m)

@@ -209,3 +209,57 @@ def test_one_root_of_a_split_polynomial(p, d):
     assert polys.one_root(F, f) in rts
     # The modulus of F splits into distinct linear factors over F itself.
     assert polys.evaluate(F, F.modulus, polys.one_root(F, F.modulus)) == 0
+
+
+def schoolbook_pow_mod(F, a, e, m):
+    """Right-to-left square-and-multiply through `polys.mul` and `polys.mod`."""
+    result = (1,)
+    a = polys.mod(F, a, m)
+    while e:
+        if e & 1:
+            result = polys.mod(F, polys.mul(F, result, a), m)
+        a = polys.mod(F, polys.mul(F, a, a), m)
+        e >>= 1
+    return result
+
+
+def outside_prime_field(F, rng):
+    """A random element of F that does not lie in F_p."""
+    return rng.randrange(F.p, F.order)
+
+
+@pytest.mark.parametrize("p, d", [(7, 18), (13, 10), (13, 11), (3, 5), (5, 2)])
+def test_packed_pow_mod_matches_schoolbook(p, d):
+    F = field(p, d)
+    rng = random.Random(100 * p + d)
+    # The schoolbook reference at a random exponent costs about
+    # 2 deg(m)^2 log2(q) field multiplies, so the small fields take every
+    # degree 1..20 and the large ones degrees 1..3 and d, the degree of the
+    # minimal polynomials whose roots they hold.
+    for n in range(1, 21) if F.order < 1000 else (1, 2, 3, d):
+        m = tuple(outside_prime_field(F, rng) for _ in range(n)) + (1,)
+        if n == 2:
+            m = m[:-1] + (outside_prime_field(F, rng),)  # not monic
+        a = tuple(outside_prime_field(F, rng) for _ in range(n))
+        tall = tuple(outside_prime_field(F, rng) for _ in range(n + 3))  # deg >= deg m
+        cases = [(a, e) for e in (0, 1, 2, rng.randrange((F.order - 1) // 2 + 1))]
+        cases += [((), 0), ((), 3), (tall, 0), (tall, 2)]
+        for base, e in cases:
+            assert polys.pow_mod(F, base, e, m) == schoolbook_pow_mod(F, base, e, m), (n, e)
+
+
+def test_packed_pow_mod_at_the_64_bit_slot_edge():
+    # p is the largest prime below 2^30, so F_p^2 itself packs into 64-bit
+    # slots, and a degree-n modulus needs the slot bound n * 2 * (p-1)^2:
+    # 64 bits at n = 8, 65 bits at n = 9.
+    p = 1073741789
+    F = field(p, 2)
+    rng = random.Random(5)
+    for n in (8, 9):
+        m = tuple(outside_prime_field(F, rng) for _ in range(n)) + (1,)
+        a = tuple(outside_prime_field(F, rng) for _ in range(n))
+        if n == 8:
+            assert polys.pow_mod(F, a, 5, m) == schoolbook_pow_mod(F, a, 5, m)
+        else:
+            with pytest.raises(DomainError, match="too large"):
+                polys.pow_mod(F, a, 5, m)
