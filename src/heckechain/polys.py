@@ -125,10 +125,11 @@ def xgcd(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
 
 def slot_width(bound: int, what: str) -> int:
     """Smallest of 16, 32 or 64 bits that holds a packed slot's bound."""
+    bits = bound.bit_length()
     for width in (16, 32, 64):
-        if bound.bit_length() <= width:
+        if bits <= width:
             return width
-    raise DomainError(f"{what} is too large for packed multiplication: slot bound has {bound.bit_length()} bits")
+    raise DomainError(f"{what} is too large for packed multiplication: slot bound has {bits} bits")
 
 
 def _fold_map(top: np.ndarray, count: int, p: int) -> np.ndarray:
@@ -167,6 +168,7 @@ def _pow_mod_packed(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
     xfold = _fold_map(neg.transpose(1, 0, 2).reshape(d, n * d), n - 1, p)
 
     def mulmod(a: int, b: int) -> int:
+        # No sum below exceeds nd(p-1)^2, which fits the slot, so uint64 is exact.
         c = np.frombuffer((a * b).to_bytes((2 * n - 1) * nbytes, "little"), dtype)
         c = c.reshape(2 * n - 1, stride).astype(np.uint64) % p
         c = (c[:, :d] + c[:, d:] @ alpha % p) % p
