@@ -1,6 +1,8 @@
 """Time the public mod-p kernels and the extension-field multiply.
 
-Each row is the best of N calls of one kernel on a fixed input; a
+Each row is the best of N calls of one kernel on a fixed input; the
+``hecke_on_quotient`` row times T_q on a built space, the per-operator work
+the program does (the kernel on the source reps and the projection); a
 ``FiniteField.mul`` row times a batch of 1000 multiplies of seeded random
 element pairs, and the ``pow_mod`` row raises a seeded degree-18 polynomial
 to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial.
@@ -18,7 +20,7 @@ from heckechain import _kernels, polys
 from heckechain.arith import crt_pair, primes_up_to
 from heckechain.gf import field
 from heckechain.mlt import MAX_WINDOW
-from heckechain.modsym import P1List, merel_matrices
+from heckechain.modsym import ModularSymbolSpace, P1List, merel_matrices
 
 
 def best_of(fn, repeats):
@@ -51,7 +53,12 @@ def bench_hecke(repeats):
         _kernels.hecke_accum(acc, mats, p1.table, p1.reps, k, N, ell)
 
     label = f"hecke_accum N={N} k={k} q={q} ({mats.shape[0]} mats)"
-    return [(label, best_of(accum, repeats))]
+    space = ModularSymbolSpace(N, k, ell)
+    quotient = f"hecke_on_quotient {N}.{k}.{ell} q={q}"
+    return [
+        (label, best_of(accum, repeats)),
+        (quotient, best_of(lambda: space.hecke_on_quotient(q), repeats)),
+    ]
 
 
 def bench_sieve(repeats):

@@ -101,9 +101,11 @@ def _sym_blocks(mats, k, ell):
 def hecke_accum(acc, mats, tbl, reps, k, N, ell):
     """Accumulate the determinant-q matrix action on the symbol basis.
 
-    acc is (n, n) with n = #reps * (k - 1), zeroed by the caller; mats holds
-    rows (a, b, c, d); tbl maps a pair mod N to its basis slot or -1.
-    Column block x feeds row block t, the slot of (u, v) * g for rep x =
+    acc is n_symbols x (#reps * (k - 1)), zeroed by the caller; mats holds
+    rows (a, b, c, d); tbl maps a pair mod N to its slot in P^1 or -1.  The
+    reps passed are the sources, all of P^1 or any subset of it; targets
+    always come from the full tbl, so n_symbols = #P^1 * (k - 1).  Column
+    block x feeds row block t, the slot of (u, v) * g for the x-th rep
     (u, v); entry (i, j) of the g-th Sym^(k-2) block couples source exponent
     i to target exponent j.  Sums are exact in int64 and reduced mod ell
     once at the end.
@@ -113,7 +115,7 @@ def hecke_accum(acc, mats, tbl, reps, k, N, ell):
     u = reps[:, 0]
     v = reps[:, 1]
     e = np.arange(w)
-    step = max(1, SCATTER_LIMIT // (reps.shape[0] * w * w))
+    step = max(1, SCATTER_LIMIT // max(1, reps.shape[0] * w * w))
     for g0 in range(0, mats.shape[0], step):
         a, b, c, d = (mats[g0 : g0 + step, col, None] for col in range(4))
         targets = tbl[(u * a + v * c) % N, (u * b + v * d) % N]

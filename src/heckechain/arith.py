@@ -138,10 +138,10 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def inv_mod(a: int, m: int) -> int:
-    g, x, _ = ext_gcd(a % m, m)
-    if g != 1:
-        raise DomainError(f"{a} is not invertible modulo {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise DomainError(f"{a} is not invertible modulo {m}") from None
 
 
 def symmetric_lift(r: int, m: int) -> int:

@@ -28,7 +28,7 @@ import sys
 from array import array
 
 from . import polys
-from .arith import DomainError, ext_gcd, is_prime
+from .arith import DomainError, is_prime
 
 _FIELD_CACHE: dict[tuple[int, int], "FiniteField"] = {}
 _PACK_TABLE_LIMIT = 4096
@@ -145,40 +145,17 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.degree == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self.encode(x + y for x, y in zip(self.decode(a), self.decode(b)))
 
     def neg(self, a: int) -> int:
         if self.degree == 1:
             return -a % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) % p * mult  # negate each digit
-            a //= p
-            mult *= p
-        return out
+        return self.encode(-x for x in self.decode(a))
 
     def sub(self, a: int, b: int) -> int:
         if self.degree == 1:
             return (a - b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += (a % p - b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self.encode(x - y for x, y in zip(self.decode(a), self.decode(b)))
 
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
@@ -217,8 +194,7 @@ class FiniteField:
         if a == 0:
             raise DomainError("division by zero in finite field")
         if self.degree == 1:
-            g, x, _ = ext_gcd(a, self.p)
-            return x % self.p
+            return pow(a, -1, self.p)
         # Extended Euclid on the residue polynomial and the modulus over F_p.
         return self.encode(polys.xgcd(field(self.p), polys.trim(self.decode(a)), self.modulus)[1])
 
@@ -227,20 +203,6 @@ class FiniteField:
 
     def frobenius(self, a: int, times: int = 1) -> int:
         return self.pow(a, self.p ** (times % self.degree))
-
-    def scalar_mul(self, c: int, a: int) -> int:
-        """Multiply by c from the prime subfield; c is a plain residue."""
-        if self.degree == 1:
-            return c * a % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        c %= p
-        while a:
-            out += a % p * c % p * mult
-            a //= p
-            mult *= p
-        return out
 
     def elements(self):
         return range(self.order)

@@ -3,8 +3,10 @@
 Generators are monomial-times-coset pairs indexed by x * (k - 1) + i, where x
 runs over the projective line mod N in lexicographic representative order and
 i is the monomial exponent. The space is the quotient by the two- and
-three-term relations; the cuspidal part is the kernel of the boundary map to
-cusp classes, and Hecke operators act through determinant-q integer matrices.
+three-term relations, with the non-pivot (free) symbols as basis; the cuspidal
+part is the kernel of the boundary map to cusp classes on them. T_q applies
+the determinant-q Merel matrices to the source reps, the P^1 reps holding a free
+symbol, and projects the images onto the free basis (Stein, GSM 79, ch. 3, 8).
 """
 
 from __future__ import annotations
@@ -168,20 +170,18 @@ class ModularSymbolSpace:
                     R[row, xt2 * w + (kk - i + j)] += (-1) ** (kk - i + j) * comb(i, j)
                 row += 1
         R %= ell
-        Rr, _, piv = rref(R, ell)
+        Rr, rank, piv = rref(R, ell)
         pivset = set(piv)
         free = [c for c in range(D) if c not in pivset]
         self.dim = len(free)
-        lift = np.zeros((D, self.dim), dtype=np.int64)
-        proj = np.zeros((self.dim, D), dtype=np.int64)
-        for j, f in enumerate(free):
-            lift[f, j] = 1
-            proj[j, f] = 1
-        for i, pc in enumerate(piv):
-            for j, f in enumerate(free):
-                proj[j, pc] = (-int(Rr[i, f])) % ell
-        self._lift = lift
-        self._proj = proj
+        self._free = free
+        self._proj = np.zeros((self.dim, D), dtype=np.int64)
+        self._proj[:, free] = np.eye(self.dim, dtype=np.int64)
+        self._proj[:, piv] = -Rr[:rank][:, free].T % ell
+        sources = sorted({f // w for f in free})
+        self._source_reps = p1.reps[sources]
+        # Free symbol x * w + i is column s * w + i of T_q on the source reps.
+        self._source_cols = [sources.index(f // w) * w + f % w for f in free]
 
     def _build_cuspidal(self) -> None:
         N, k, ell = self.N, self.k, self.ell
@@ -212,8 +212,7 @@ class ModularSymbolSpace:
             boundary[ci, col] += val
         boundary %= ell
         self._boundary = boundary
-        delta = matmul_mod(boundary, self._lift, ell)
-        self.cuspidal_basis = right_kernel(delta, ell)
+        self.cuspidal_basis = right_kernel(boundary[:, self._free], ell)
         self.cuspidal_dim = self.cuspidal_basis.shape[1]
 
     # -- operators ----------------------------------------------------------
@@ -223,10 +222,10 @@ class ModularSymbolSpace:
             raise DomainError("hecke operators are indexed by primes")
         if self.N % q == 0:
             raise DomainError("hecke operator at a prime dividing the level")
-        A = np.zeros((self.n_symbols, self.n_symbols), dtype=np.int64)
+        A = np.zeros((self.n_symbols, self._source_reps.shape[0] * (self.k - 1)), dtype=np.int64)
         mats = np.array(merel_matrices(q), dtype=np.int64)
-        hecke_accum(A, mats, self.p1.table, self.p1.reps, self.k, self.N, self.ell)
-        return matmul_mod(matmul_mod(self._proj, A, self.ell), self._lift, self.ell)
+        hecke_accum(A, mats, self.p1.table, self._source_reps, self.k, self.N, self.ell)
+        return matmul_mod(self._proj, A[:, self._source_cols], self.ell)
 
     def hecke_matrix(self, q: int) -> np.ndarray:
         """T_q restricted to the cuspidal subspace, in its basis."""

@@ -209,7 +209,7 @@ def evaluate(F: FiniteField, f: Poly, x: int) -> int:
 
 
 def derivative(F: FiniteField, f: Poly) -> Poly:
-    return trim(F.scalar_mul(i, f[i]) for i in range(1, len(f)))
+    return trim(F.mul(F.from_int(i), f[i]) for i in range(1, len(f)))
 
 
 def is_irreducible(F: FiniteField, f: Poly) -> bool:
@@ -393,5 +393,5 @@ def apply_embedding(src: FiniteField, dst: FiniteField, basis_images: list[int],
     acc = 0
     for c, img in zip(coeffs, basis_images):
         if c:
-            acc = dst.add(acc, dst.scalar_mul(c, img))
+            acc = dst.add(acc, dst.mul(c, img))
     return acc

@@ -161,7 +161,7 @@ def test_eigenvector_satisfies_hecke_equation():
         M = sp.hecke_matrix(q)
         for v in vs:
             Mv = [
-                sum_vec(F, [F.scalar_mul(int(M[i, j]) % ell, v[j]) for j in range(len(v))])
+                sum_vec(F, [F.mul(int(M[i, j]) % ell, v[j]) for j in range(len(v))])
                 for i in range(M.shape[0])
             ]
             assert Mv == [F.mul(aq, x) for x in v], q

@@ -146,13 +146,16 @@ def signed_matrices(q):
     return np.random.default_rng(q).integers(-50, 51, size=(40, 4)).astype(np.int64)
 
 
-def assert_matches_loop(N, k, ell, mats):
+def assert_matches_loop(N, k, ell, mats, sources=None):
+    """The kernel against the loop on the reps indexed by sources (all of
+    P^1 when None); targets always range over all of P^1."""
     p1 = P1List(N)
-    n = len(p1) * (k - 1)
-    want = np.zeros((n, n), dtype=np.int64)
-    loop_hecke_accum(want, mats, p1.table, p1.reps, k, N, ell)
-    got = np.zeros((n, n), dtype=np.int64)
-    hecke_accum(got, mats, p1.table, p1.reps, k, N, ell)
+    reps = p1.reps if sources is None else p1.reps[np.asarray(sources, dtype=np.int64)]
+    shape = (len(p1) * (k - 1), reps.shape[0] * (k - 1))
+    want = np.zeros(shape, dtype=np.int64)
+    loop_hecke_accum(want, mats, p1.table, reps, k, N, ell)
+    got = np.zeros(shape, dtype=np.int64)
+    hecke_accum(got, mats, p1.table, reps, k, N, ell)
     assert np.array_equal(got, want)
 
 
@@ -170,7 +173,11 @@ def assert_matches_loop(N, k, ell, mats):
     ],
 )
 def test_hecke_accum_matches_loop(N, k, ell, q, mats):
-    assert_matches_loop(N, k, ell, mats(q))
+    n = len(P1List(N))
+    # All reps, every other rep, a single rep and none: with no reps the
+    # kernel leaves the empty accumulator as it is.
+    for sources in (None, range(0, n, 2), [n // 2], []):
+        assert_matches_loop(N, k, ell, mats(q), sources)
 
 
 @pytest.mark.parametrize("limit", [None, 1, 5 * 98 * 9 + 1])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from heckechain._kernels import hecke_accum, matmul_mod
 from heckechain.arith import DomainError
 from heckechain.dims import dim_cusp_forms
-from heckechain.modsym import MAX_WEIGHT, P1List, symbol_space, validate_space
+from heckechain.modsym import MAX_WEIGHT, P1List, merel_matrices, symbol_space, validate_space
 
 # Cusp form dimensions from the standard genus/dimension formulas; the
 # cuspidal modular symbol space is twice as large.
@@ -90,7 +91,7 @@ def test_validation_messages():
 def test_boundary_map_kills_cuspidal_space():
     sp = symbol_space(23, 2, 7)
     assert sp.cuspidal_basis.shape[1] == sp.cuspidal_dim
-    delta = sp._boundary @ sp._lift % 7
+    delta = sp._boundary[:, sp._free]
     assert not (delta @ sp.cuspidal_basis % 7).any()
 
 
@@ -116,6 +117,27 @@ def test_hecke_operator_preconditions():
         sp.hecke_on_quotient(4)
     with pytest.raises(DomainError, match="prime dividing the level"):
         sp.hecke_on_quotient(11)
+
+
+@pytest.mark.parametrize("N, k, ell, q", [(389, 2, 7, 3), (23, 4, 13, 2), (37, 6, 101, 7), (5, 12, 11, 13)])
+def test_hecke_on_quotient_matches_full_action(N, k, ell, q):
+    # Reference: T_q on all #P^1 * (k - 1) symbols, projected to the quotient
+    # and restricted to the free symbols by a 0/1 lift matrix.
+    sp = symbol_space(N, k, ell)
+    D = sp.n_symbols
+    A = np.zeros((D, D), dtype=np.int64)
+    mats = np.array(merel_matrices(q), dtype=np.int64)
+    hecke_accum(A, mats, sp.p1.table, sp.p1.reps, k, N, ell)
+    lift = np.zeros((D, sp.dim), dtype=np.int64)
+    lift[sp._free, np.arange(sp.dim)] = 1
+    want = matmul_mod(matmul_mod(sp._proj, A, ell), lift, ell)
+    assert np.array_equal(sp.hecke_on_quotient(q), want)
+
+
+def test_hecke_on_zero_dimensional_quotient():
+    sp = symbol_space(1, 2, 5)
+    assert sp.dim == 0
+    assert sp.hecke_on_quotient(7).shape == (0, 0)
 
 
 def test_hecke_commutes_on_cuspidal_space():
