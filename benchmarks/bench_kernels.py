@@ -2,7 +2,9 @@
 
 Each row is the best of N calls of one kernel on a fixed input; the
 ``hecke_on_quotient`` row times T_q on a built space, the per-operator work
-the program does (the kernel on the source reps and the projection); a
+the program does (the kernel on the source reps and the projection); the
+two ``ModularSymbolSpace`` rows build one space with the (N, k) presentation
+memoised (the work mod ell) and with the memo cleared first; a
 ``FiniteField.mul`` row times a batch of 1000 multiplies of seeded random
 element pairs, and the ``pow_mod`` row raises a seeded degree-18 polynomial
 to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial.
@@ -20,7 +22,7 @@ from heckechain import _kernels, polys
 from heckechain.arith import crt_pair, primes_up_to
 from heckechain.gf import field
 from heckechain.mlt import MAX_WINDOW
-from heckechain.modsym import ModularSymbolSpace, P1List, merel_matrices
+from heckechain.modsym import ModularSymbolSpace, P1List, _presentation, merel_matrices
 
 
 def best_of(fn, repeats):
@@ -58,6 +60,20 @@ def bench_hecke(repeats):
     return [
         (label, best_of(accum, repeats)),
         (quotient, best_of(lambda: space.hecke_on_quotient(q), repeats)),
+    ]
+
+
+def bench_space(repeats):
+    N, k, ell = 67, 2, 13
+    _presentation(N, k)
+
+    def cold():
+        _presentation.cache_clear()
+        ModularSymbolSpace(N, k, ell)
+
+    return [
+        (f"ModularSymbolSpace {N}.{k}.{ell} presentation warm", best_of(lambda: ModularSymbolSpace(N, k, ell), repeats)),
+        (f"ModularSymbolSpace {N}.{k}.{ell} presentation cold", best_of(cold, repeats)),
     ]
 
 
@@ -109,6 +125,7 @@ def main(argv=None):
     rows = (
         bench_rref(args.repeats)
         + bench_hecke(args.repeats)
+        + bench_space(args.repeats)
         + bench_sieve(args.repeats)
         + bench_field_mul(args.repeats)
         + bench_pow_mod(args.repeats)

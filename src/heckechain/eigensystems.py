@@ -233,7 +233,7 @@ def _split_block(R: np.ndarray, fac, ell: int) -> list[tuple[np.ndarray, polys.P
     as kernel columns of f(R)^mult in R's coordinates, with f."""
     out = []
     for f, mult in fac:
-        ker = right_kernel(matrix_power(poly_of_matrix(f, R, ell), mult, ell), ell)
+        ker, _ = right_kernel(matrix_power(poly_of_matrix(f, R, ell), mult, ell), ell)
         if ker.shape[1] != mult * polys.degree(f):
             raise DomainError("block splitting failed to isolate a single factor")
         out.append((ker, f))

@@ -31,17 +31,17 @@ def rref(a: np.ndarray, p: int):
     return m, rank, [int(c) for c in piv]
 
 
-def right_kernel(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel as columns of an (n, nullity) array."""
-    n = a.shape[1]
+def right_kernel(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """(K, free): a basis of the right kernel as the columns of an
+    (n, nullity) array, and the non-pivot columns of a's rref; K[free] is
+    the identity."""
     m, rank, piv = rref(a, p)
-    free = [c for c in range(n) if c not in set(piv)]
-    K = np.zeros((n, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        K[f, j] = 1
-        for i, pc in enumerate(piv):
-            K[pc, j] = (-m[i, f]) % p
-    return K
+    pivset = set(piv)
+    free = [c for c in range(a.shape[1]) if c not in pivset]
+    K = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    K[free, np.arange(len(free))] = 1
+    K[piv] = -m[:rank][:, free] % p
+    return K, free
 
 
 def solve_columns(C: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

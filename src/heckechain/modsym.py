@@ -7,7 +7,12 @@ three-term relations, with the non-pivot (free) symbols as basis; the cuspidal
 part is the kernel of the boundary map to cusp classes on them. T_q applies
 the determinant-q Merel matrices to the source reps, the P^1 reps holding a free
 symbol, and projects the images onto the free basis (Stein, GSM 79, ch. 3, 8).
-"""
+
+The relations and the boundary map are integer data. `_presentation` builds
+them once per (N, k), with P^1 and the cusp classes, and `merel_matrices` its
+array once per q; every characteristic shares them read-only. A space does
+only the work mod ell: it reduces the relations and finds the free basis,
+the projection onto it and the kernel of the boundary map."""
 
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ import numpy as np
 
 from ._kernels import hecke_accum, matmul_mod
 from .arith import DomainError, ext_gcd, inv_mod, is_prime
-from .matrix import right_kernel, rref, solve_columns
+from .matrix import right_kernel
 
 MAX_WEIGHT = 12
 
@@ -53,8 +58,10 @@ class P1List:
         return int(self.table[u % self.N, v % self.N])
 
 
-def merel_matrices(n: int) -> list[tuple[int, int, int, int]]:
-    """Integer matrices (a, b; c, d) of determinant n with a > b >= 0, d > c >= 0."""
+@lru_cache(maxsize=256)
+def merel_matrices(n: int) -> np.ndarray:
+    """Integer matrices (a, b; c, d) of determinant n with a > b >= 0, d > c >= 0,
+    as the rows (a, b, c, d) of a read-only int64 array."""
     out = []
     for a in range(1, n + 1):
         for b in range(a):
@@ -68,7 +75,9 @@ def merel_matrices(n: int) -> list[tuple[int, int, int, int]]:
                     num = a * d - n
                     if num >= 0 and num % b == 0 and num // b < d:
                         out.append((a, b, num // b, d))
-    return out
+    mats = np.array(out, dtype=np.int64)
+    mats.setflags(write=False)
+    return mats
 
 
 def _cusp_normalize(a: int, c: int) -> tuple[int, int]:
@@ -127,66 +136,18 @@ def validate_space(N: int, k: int, ell: int) -> None:
         raise DomainError(f"working characteristic too small for weight {k}")
 
 
-class ModularSymbolSpace:
-    """Weight-k modular symbols for Gamma0(N) with coefficients mod ell."""
+class Presentation:
+    """The characteristic-free data of weight k for Gamma0(N): P^1, the
+    relation rows and the boundary map as read-only (row, column, value)
+    integer triples, and the cusp classes."""
 
-    def __init__(self, N: int, k: int, ell: int):
-        validate_space(N, k, ell)
-        self.N = N
-        self.k = k
-        self.ell = ell
-        self.p1 = P1List(N)
-        self.n_symbols = len(self.p1) * (k - 1)
-        self._hecke: dict[int, np.ndarray] = {}
-        self._build_quotient()
-        self._build_cuspidal()
-
-    def __repr__(self) -> str:
-        return f"ModularSymbolSpace(N={self.N}, k={self.k}, ell={self.ell})"
-
-    # -- presentation -------------------------------------------------------
-
-    def _build_quotient(self) -> None:
-        k, ell = self.k, self.ell
-        p1 = self.p1
-        kk = k - 2
-        w = k - 1
-        D = self.n_symbols
-        R = np.zeros((2 * D, D), dtype=np.int64)
-        row = 0
-        for x in range(len(p1)):
-            c, d = (int(v) for v in p1.reps[x])
-            xs = p1.index(d, -c)
-            xt = p1.index(d, -c - d)
-            xt2 = p1.index(-c - d, c)
-            for i in range(w):
-                R[row, x * w + i] += 1
-                R[row, xs * w + (kk - i)] += (-1) ** i
-                row += 1
-                R[row, x * w + i] += 1
-                for j in range(kk - i + 1):
-                    R[row, xt * w + j] += (-1) ** (kk - j) * comb(kk - i, j)
-                for j in range(i + 1):
-                    R[row, xt2 * w + (kk - i + j)] += (-1) ** (kk - i + j) * comb(i, j)
-                row += 1
-        R %= ell
-        Rr, rank, piv = rref(R, ell)
-        pivset = set(piv)
-        free = [c for c in range(D) if c not in pivset]
-        self.dim = len(free)
-        self._free = free
-        self._proj = np.zeros((self.dim, D), dtype=np.int64)
-        self._proj[:, free] = np.eye(self.dim, dtype=np.int64)
-        self._proj[:, piv] = -Rr[:rank][:, free].T % ell
-        sources = sorted({f // w for f in free})
-        self._source_reps = p1.reps[sources]
-        # Free symbol x * w + i is column s * w + i of T_q on the source reps.
-        self._source_cols = [sources.index(f // w) * w + f % w for f in free]
-
-    def _build_cuspidal(self) -> None:
-        N, k, ell = self.N, self.k, self.ell
-        kk = k - 2
-        w = k - 1
+    def __init__(self, N: int, k: int):
+        self.p1 = p1 = P1List(N)
+        kk, w = k - 2, k - 1
+        rel: list[tuple[int, int, int]] = []
+        bnd: list[tuple[int, int, int]] = []
+        seen_s: set[int] = set()
+        seen_st: set[int] = set()
         cusp_reps: list[tuple[int, int]] = []
 
         def cusp_class(a: int, c: int) -> int:
@@ -197,23 +158,77 @@ class ModularSymbolSpace:
             cusp_reps.append(cu)
             return len(cusp_reps) - 1
 
-        entries = []
-        for x in range(len(self.p1)):
-            c, d = (int(v) for v in self.p1.reps[x])
+        row = 0
+        for x in range(len(p1)):
+            c, d = (int(v) for v in p1.reps[x])
+            xs, xt, xt2 = p1.index(d, -c), p1.index(d, -c - d), p1.index(-c - d, c)
+            # One block per S-orbit and per ST-orbit: the blocks of the other
+            # points of an orbit are multiples or repeats of these rows.
+            if x not in seen_s:
+                seen_s.update((x, xs))
+                for i in range(w):
+                    rel += [(row, x * w + i, 1), (row, xs * w + (kk - i), (-1) ** i)]
+                    row += 1
+            if x not in seen_st:
+                seen_st.update((x, xt, xt2))
+                for i in range(w):
+                    rel.append((row, x * w + i, 1))
+                    for j in range(kk - i + 1):
+                        rel.append((row, xt * w + j, (-1) ** (kk - j) * comb(kk - i, j)))
+                    for j in range(i + 1):
+                        rel.append((row, xt2 * w + (kk - i + j), (-1) ** (kk - i + j) * comb(i, j)))
+                    row += 1
             cl, dl = _lift_to_coprime(c, d, N)
             _, s, t = ext_gcd(dl, cl)
             a, b = s, -t
             assert a * dl - b * cl == 1
-            entries.append((cusp_class(a, cl), x * w + kk, 1))
-            entries.append((cusp_class(b, dl), x * w, -1))
-        self.cusp_classes = list(cusp_reps)
-        boundary = np.zeros((len(cusp_reps), self.n_symbols), dtype=np.int64)
-        for ci, col, val in entries:
-            boundary[ci, col] += val
-        boundary %= ell
-        self._boundary = boundary
-        self.cuspidal_basis = right_kernel(boundary[:, self._free], ell)
+            bnd += [(cusp_class(a, cl), x * w + kk, 1), (cusp_class(b, dl), x * w, -1)]
+        self.n_relations = row
+        self.relations = np.array(rel, dtype=np.int64)
+        self.boundary = np.array(bnd, dtype=np.int64)
+        self.cusp_classes = tuple(cusp_reps)
+        for a in (p1.reps, p1.table, self.relations, self.boundary):
+            a.setflags(write=False)
+
+
+_presentation = lru_cache(maxsize=64)(Presentation)
+
+
+def _scatter(triples: np.ndarray, rows: int, cols: int, ell: int) -> np.ndarray:
+    out = np.zeros((rows, cols), dtype=np.int64)
+    np.add.at(out, (triples[:, 0], triples[:, 1]), triples[:, 2])
+    return out % ell
+
+
+class ModularSymbolSpace:
+    """Weight-k modular symbols for Gamma0(N) with coefficients mod ell."""
+
+    def __init__(self, N: int, k: int, ell: int):
+        validate_space(N, k, ell)
+        self.N, self.k, self.ell = N, k, ell
+        pres = _presentation(N, k)
+        self.p1 = pres.p1
+        self.n_symbols = D = len(self.p1) * (k - 1)
+        self._hecke: dict[int, np.ndarray] = {}
+        # The projection onto the free symbols is the transposed kernel of
+        # the relations: identity on the free columns, -Rref^T on the pivots.
+        K, self._free = right_kernel(_scatter(pres.relations, pres.n_relations, D, ell), ell)
+        self._proj = K.T.copy()
+        self.dim = len(self._free)
+        w = k - 1
+        sources = sorted({f // w for f in self._free})
+        self._source_reps = self.p1.reps[sources]
+        # Free symbol x * w + i is column s * w + i of T_q on the source reps.
+        self._source_cols = [sources.index(f // w) * w + f % w for f in self._free]
+        self.cusp_classes = list(pres.cusp_classes)
+        self._boundary = _scatter(pres.boundary, len(self.cusp_classes), D, ell)
+        # The basis has identity rows at _cusp_rows, the free columns of the
+        # boundary's rref.
+        self.cuspidal_basis, self._cusp_rows = right_kernel(self._boundary[:, self._free], ell)
         self.cuspidal_dim = self.cuspidal_basis.shape[1]
+
+    def __repr__(self) -> str:
+        return f"ModularSymbolSpace(N={self.N}, k={self.k}, ell={self.ell})"
 
     # -- operators ----------------------------------------------------------
 
@@ -223,16 +238,18 @@ class ModularSymbolSpace:
         if self.N % q == 0:
             raise DomainError("hecke operator at a prime dividing the level")
         A = np.zeros((self.n_symbols, self._source_reps.shape[0] * (self.k - 1)), dtype=np.int64)
-        mats = np.array(merel_matrices(q), dtype=np.int64)
-        hecke_accum(A, mats, self.p1.table, self._source_reps, self.k, self.N, self.ell)
+        hecke_accum(A, merel_matrices(q), self.p1.table, self._source_reps, self.k, self.N, self.ell)
         return matmul_mod(self._proj, A[:, self._source_cols], self.ell)
 
     def hecke_matrix(self, q: int) -> np.ndarray:
         """T_q restricted to the cuspidal subspace, in its basis."""
         if q not in self._hecke:
-            M = self.hecke_on_quotient(q)
-            image = matmul_mod(M, self.cuspidal_basis, self.ell)
-            self._hecke[q] = solve_columns(self.cuspidal_basis, image, self.ell)
+            basis = self.cuspidal_basis
+            image = matmul_mod(self.hecke_on_quotient(q), basis, self.ell)
+            X = image[self._cusp_rows]
+            if not np.array_equal(matmul_mod(basis, X, self.ell), image):
+                raise DomainError("linear system is inconsistent")
+            self._hecke[q] = X
         return self._hecke[q]
 
 

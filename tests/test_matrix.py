@@ -21,7 +21,7 @@ def test_rank_nullity(seed, p, n, m):
     rng = np.random.default_rng(seed)
     a = rand_matrix(rng, n, m, p)
     reduced, rank, pivots = matrix.rref(a, p)
-    ker = matrix.right_kernel(a, p)
+    ker, _ = matrix.right_kernel(a, p)
     assert rank == len(pivots)
     assert rank + ker.shape[1] == m
     assert np.all(a @ ker % p == 0)
@@ -73,7 +73,7 @@ def test_gkernel_matches_prime_field_kernel():
     a = rng.integers(0, p, size=(5, 7), dtype=np.int64)
     F = field(p)
     gker = matrix.gkernel(F, a.tolist())
-    nker = matrix.right_kernel(a, p)
+    nker, _ = matrix.right_kernel(a, p)
     assert len(gker) == nker.shape[1]
     for vec in gker:
         assert all(
@@ -95,3 +95,32 @@ def test_gcharpoly_extension_field_eigenvalue():
     A = [[g]]
     f = matrix.gcharpoly(F, A)
     assert polys.evaluate(F, f, g) == 0
+
+
+def loop_kernel(a, p):
+    """Right kernel by a loop over the free and pivot columns of the rref."""
+    m, rank, piv = matrix.rref(a, p)
+    free = [c for c in range(a.shape[1]) if c not in piv]
+    K = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for j, f in enumerate(free):
+        K[f, j] = 1
+        for i, pc in enumerate(piv):
+            K[pc, j] = (-m[i, f]) % p
+    return K, free
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 10007])
+def test_right_kernel_matches_loop(p):
+    rng = np.random.default_rng(p)
+    cases = [np.zeros((3, 5), dtype=np.int64), np.eye(4, dtype=np.int64) * 2, np.zeros((0, 3), dtype=np.int64)]
+    for n, m in [(1, 1), (2, 5), (5, 2), (4, 4), (6, 9), (9, 6)]:
+        cases.append(rand_matrix(rng, n, m, p))
+        low = rand_matrix(rng, n, 1, p) @ rand_matrix(rng, 1, m, p) % p
+        cases.append(low)
+    for a in cases:
+        K, free = matrix.right_kernel(a, p)
+        want, want_free = loop_kernel(a, p)
+        assert free == want_free
+        assert np.array_equal(K, want)
+        assert np.array_equal(K[free], np.eye(len(free), dtype=np.int64))
+        assert not (a @ K % p).any()

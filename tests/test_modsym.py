@@ -4,7 +4,15 @@ import pytest
 from heckechain._kernels import hecke_accum, matmul_mod
 from heckechain.arith import DomainError
 from heckechain.dims import dim_cusp_forms
-from heckechain.modsym import MAX_WEIGHT, P1List, merel_matrices, symbol_space, validate_space
+from heckechain.modsym import (
+    MAX_WEIGHT,
+    ModularSymbolSpace,
+    P1List,
+    merel_matrices,
+    _presentation,
+    symbol_space,
+    validate_space,
+)
 
 # Cusp form dimensions from the standard genus/dimension formulas; the
 # cuspidal modular symbol space is twice as large.
@@ -153,3 +161,134 @@ def test_weight_12_level_1_space():
     # The Hecke action there is scalar, by tau(2) = -24.
     T2 = sp.hecke_matrix(2)
     assert np.array_equal(T2, np.diag([(-24) % 13] * 2))
+
+
+def reference_space(N, k, ell):
+    """_free, _proj, cusp classes and cuspidal basis from the dense
+    construction: every two- and three-term relation row of every point of
+    P^1 in a 2D x D matrix, the boundary map entry by entry, and the kernel
+    vectors by a loop over the free columns."""
+    from math import comb
+
+    from heckechain import modsym
+    from heckechain.arith import ext_gcd
+    from heckechain.matrix import rref
+
+    p1 = P1List(N)
+    kk, w = k - 2, k - 1
+    D = len(p1) * w
+    R = np.zeros((2 * D, D), dtype=np.int64)
+    row = 0
+    for x in range(len(p1)):
+        c, d = (int(v) for v in p1.reps[x])
+        xs, xt, xt2 = p1.index(d, -c), p1.index(d, -c - d), p1.index(-c - d, c)
+        for i in range(w):
+            R[row, x * w + i] += 1
+            R[row, xs * w + (kk - i)] += (-1) ** i
+            row += 1
+            R[row, x * w + i] += 1
+            for j in range(kk - i + 1):
+                R[row, xt * w + j] += (-1) ** (kk - j) * comb(kk - i, j)
+            for j in range(i + 1):
+                R[row, xt2 * w + (kk - i + j)] += (-1) ** (kk - i + j) * comb(i, j)
+            row += 1
+    Rr, rank, piv = rref(R % ell, ell)
+    free = [c for c in range(D) if c not in piv]
+    proj = np.zeros((len(free), D), dtype=np.int64)
+    proj[:, free] = np.eye(len(free), dtype=np.int64)
+    proj[:, piv] = -Rr[:rank][:, free].T % ell
+
+    cusps = []
+
+    def cusp_class(a, c):
+        cu = modsym._cusp_normalize(a, c)
+        for idx, rep in enumerate(cusps):
+            if modsym._cusps_equivalent(N, rep, cu):
+                return idx
+        cusps.append(cu)
+        return len(cusps) - 1
+
+    entries = []
+    for x in range(len(p1)):
+        c, d = (int(v) for v in p1.reps[x])
+        cl, dl = modsym._lift_to_coprime(c, d, N)
+        _, s, t = ext_gcd(dl, cl)
+        entries.append((cusp_class(s, cl), x * w + kk, 1))
+        entries.append((cusp_class(-t, dl), x * w, -1))
+    boundary = np.zeros((len(cusps), D), dtype=np.int64)
+    for ci, col, val in entries:
+        boundary[ci, col] += val
+    delta = boundary[:, free] % ell
+    m, rank, piv = rref(delta, ell)
+    kfree = [c for c in range(len(free)) if c not in piv]
+    basis = np.zeros((len(free), len(kfree)), dtype=np.int64)
+    for j, f in enumerate(kfree):
+        basis[f, j] = 1
+        for i, pc in enumerate(piv):
+            basis[pc, j] = (-m[i, f]) % ell
+    return p1, free, proj, cusps, basis
+
+
+def reference_hecke(p1, free, proj, basis, N, k, ell, q):
+    # T_q on all symbols, projected to the quotient, restricted to the free
+    # symbols and solved for in the cuspidal basis.
+    from heckechain.matrix import solve_columns
+
+    D = proj.shape[1]
+    A = np.zeros((D, D), dtype=np.int64)
+    hecke_accum(A, np.array(merel_matrices(q)), p1.table, p1.reps, k, N, ell)
+    lift = np.zeros((D, len(free)), dtype=np.int64)
+    lift[free, np.arange(len(free))] = 1
+    M = matmul_mod(matmul_mod(proj, A, ell), lift, ell)
+    return solve_columns(basis, matmul_mod(M, basis, ell), ell)
+
+
+@pytest.mark.parametrize(
+    "N, k, ells",
+    [
+        (1, 2, (5, 7, 11)),
+        (11, 2, (5, 7, 13)),
+        (23, 2, (5, 7, 11, 13)),
+        (37, 2, (5, 11, 19)),
+        (67, 2, (5, 7, 13)),
+        (97, 4, (5, 7, 13)),
+        (5, 12, (11, 13, 17)),
+    ],
+)
+def test_presentation_matches_dense_construction(N, k, ells):
+    for ell in ells:
+        sp = ModularSymbolSpace(N, k, ell)
+        p1, free, proj, cusps, basis = reference_space(N, k, ell)
+        assert sp._free == free
+        assert np.array_equal(sp._proj, proj)
+        assert sp.cusp_classes == cusps
+        assert np.array_equal(sp.cuspidal_basis, basis)
+        for q in [q for q in (2, 3, 7, 13) if N % q]:
+            want = reference_hecke(p1, free, proj, basis, N, k, ell, q)
+            assert np.array_equal(sp.hecke_matrix(q), want), (ell, q)
+
+
+def test_hecke_matrix_rejects_an_operator_leaving_the_cuspidal_space(monkeypatch):
+    sp = ModularSymbolSpace(23, 2, 7)
+    # e_j lies outside the cuspidal subspace (the boundary map does not kill
+    # it), and M sends the first cuspidal basis vector there.
+    j = next(j for j in range(sp.dim) if sp._boundary[:, sp._free][:, j].any())
+    M = np.zeros((sp.dim, sp.dim), dtype=np.int64)
+    M[j, sp._cusp_rows[0]] = 1
+    monkeypatch.setattr(sp, "hecke_on_quotient", lambda q: M)
+    with pytest.raises(DomainError, match="^linear system is inconsistent$"):
+        sp.hecke_matrix(2)
+
+
+def test_presentation_is_shared_read_only_and_bounded():
+    assert _presentation.cache_info().maxsize is not None
+    assert merel_matrices.cache_info().maxsize is not None
+    _presentation.cache_clear()
+    a, b = ModularSymbolSpace(37, 2, 5), ModularSymbolSpace(37, 2, 11)
+    pres = _presentation(37, 2)
+    assert a.p1 is b.p1 is pres.p1
+    assert _presentation.cache_info().misses == 1
+    arrays = [pres.p1.reps, pres.p1.table, pres.relations, pres.boundary, merel_matrices(5)]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
