@@ -1,4 +1,4 @@
-"""Time the public mod-p kernels and the extension-field multiply.
+"""Time the public mod-p kernels and the extension-field arithmetic.
 
 Each row is the best of N calls of one kernel on a fixed input; the
 ``hecke_on_quotient`` row times T_q on a built space, the per-operator work
@@ -6,7 +6,8 @@ the program does (the kernel on the source reps and the projection); the
 two ``ModularSymbolSpace`` rows build one space with the (N, k) presentation
 memoised (the work mod ell) and with the memo cleared first; a
 ``FiniteField.mul`` row times a batch of 1000 multiplies of seeded random
-element pairs, and the ``pow_mod`` row raises a seeded degree-18 polynomial
+element pairs, the ``FiniteField.inv`` row 100 inverses of seeded random
+nonzero elements, and the ``pow_mod`` row raises a seeded degree-18 polynomial
 to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
@@ -106,6 +107,18 @@ def bench_field_mul(repeats):
     return rows
 
 
+def bench_field_inv(repeats):
+    F = field(7, 18)
+    rng = random.Random(718)
+    elements = [rng.randrange(1, F.order) for _ in range(100)]
+
+    def batch():
+        for a in elements:
+            F.inv(a)
+
+    return [("FiniteField.inv F_7^18 x100", best_of(batch, repeats))]
+
+
 def bench_pow_mod(repeats):
     # The shape of one Cantor-Zassenhaus split in `polys.one_root` on the
     # degree-18 orbit of 389.2.7: a degree-18 modulus over F_7^18.
@@ -128,6 +141,7 @@ def main(argv=None):
         + bench_space(args.repeats)
         + bench_sieve(args.repeats)
         + bench_field_mul(args.repeats)
+        + bench_field_inv(args.repeats)
         + bench_pow_mod(args.repeats)
     )
     width = max(len(label) for label, _ in rows)

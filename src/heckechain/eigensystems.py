@@ -13,6 +13,7 @@ F_ell linear algebra plus one root per orbit, from the first query on.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -177,8 +178,9 @@ class Eigensystem:
             T, f = S[g], self._minpolys[g]
         K = self.field
         theta = polys.one_root(K, f)
-        conjugates = [K.frobenius(theta, j) for j in range(d)]
-        powers = [[K.pow(c, i) for i in range(d)] for c in conjugates]
+        # theta^(ell^j) and each c^i by running products.
+        conjugates = accumulate(range(d - 1), lambda c, _: K.frobenius(c), initial=theta)
+        powers = [list(accumulate([c] * (d - 1), K.mul, initial=1)) for c in conjugates]
         values = apply_np_to_gvecs(_in_powers(T, list(S.values()), d, ell), powers, K)
         j = min(range(d), key=values.__getitem__)
         self._eigen = dict(zip(self.base_primes, values[j]))

@@ -6,44 +6,20 @@ The defining modulus is the monic irreducible of degree d whose non-leading
 coefficient vector has the smallest integer encoding, so fields are canonical
 across runs and machines. Degree-1 fields reduce to plain mod-p arithmetic.
 
-For d > 1, ``mul`` works by Kronecker substitution (von zur Gathen & Gerhard,
-*Modern Computer Algebra*, 8.4): each operand's base-p digits are packed
-into fixed-width slots of one Python int, least significant digit in the
-lowest slot, and the two packed ints are multiplied once.  Slot i of the
-product is the convolution coefficient of x^i, at most d(p-1)^2.  The top
-d-1 slots are reduced mod p and folded back onto the low d slots through
-packed precomputed residues of x^d, ..., x^(2d-2) mod the modulus, adding at
-most (d-1)(p-1)^2 per slot.  The slot width is the smallest of 16, 32 or 64
-bits that holds the bound 2d(p-1)^2 + p, so no slot ever carries into the
-next; a field whose bound needs more than 64 bits is refused.  Packing goes
-through a per-field table from c base-p digits to their packed value, with
-p^c <= 4096, or digit by digit when p is too large for two digits to share
-a chunk.  The low slots are read out through ``int.to_bytes`` and ``array``.
+For d > 1, ``fold`` holds the base-p digits of alpha^d, ..., alpha^(2d-2) mod
+the modulus, one read-only row each.  ``mul`` convolves the two digit vectors
+and folds the product's top d-1 coefficients back through it; ``polys.pow_mod``
+reads the same table.
 """
 
 from __future__ import annotations
 
-import functools
-import sys
-from array import array
+import numpy as np
 
 from . import polys
 from .arith import DomainError, is_prime
 
 _FIELD_CACHE: dict[tuple[int, int], "FiniteField"] = {}
-_PACK_TABLE_LIMIT = 4096
-_SLOT_TYPECODES = {array(t).itemsize * 8: t for t in "HILQ"}
-
-
-def _pack_digits(digits, width: int) -> int:
-    return sum(c << (i * width) for i, c in enumerate(digits))
-
-
-@functools.cache
-def _pack_table(p: int, chunk: int, width: int) -> tuple[int, ...]:
-    """Packed value of every chunk of `chunk` base-p digits; fields of any
-    degree over F_p with the same slot width share it."""
-    return tuple(_pack_digits((v // p**j % p for j in range(chunk)), width) for v in range(p**chunk))
 
 
 def _canonical_modulus(p: int, d: int) -> tuple[int, ...]:
@@ -78,36 +54,14 @@ class FiniteField:
             self._init_extension()
 
     def _init_extension(self) -> None:
-        """Canonical modulus and the packing data of ``mul``."""
+        """Canonical modulus and the fold table of ``mul``."""
         p, d = self.p, self.degree
-        self._width = width = polys.slot_width(2 * d * (p - 1) ** 2 + p, f"F_{p}^{d}")
+        # Refuses a field whose product sums, below 2d(p-1)^2 + p, pass 64 bits.
+        polys.slot_width(2 * d * (p - 1) ** 2 + p, f"F_{p}^{d}")
         self.modulus = _canonical_modulus(p, d)
-        self._typecode = _SLOT_TYPECODES[width]
-        chunk = 1
-        while p ** (chunk + 1) <= _PACK_TABLE_LIMIT:
-            chunk += 1
-        self._chunk_base = p**chunk
-        self._chunk_bits = chunk * width
-        # A one-digit chunk packs to itself: no table, digit by digit.
-        self._pack_table = _pack_table(p, chunk, width) if chunk > 1 else None
-        # Packed x^i mod modulus for i = d .. 2d-2, built by x-shifts.
-        self._fold = []
-        r = [-c % p for c in self.modulus[:d]]
-        for _ in range(d - 1):
-            self._fold.append(_pack_digits(r, width))
-            top = r[-1]
-            r = [(x - top * m) % p for x, m in zip([0] + r[:-1], self.modulus)]
-
-    def _pack(self, a: int) -> int:
-        table, base, step = self._pack_table, self._chunk_base, self._chunk_bits
-        out = 0
-        shift = 0
-        while a:
-            a, r = divmod(a, base)
-            if r:
-                out |= (r if table is None else table[r]) << shift
-            shift += step
-        return out
+        top = (p - np.array([self.modulus[:d]], dtype=np.uint64)) % p
+        self.fold = polys.fold_map(top, d - 1, p)
+        self.fold.flags.writeable = False
 
     def __repr__(self) -> str:
         return f"FiniteField({self.p}, {self.degree})"
@@ -161,23 +115,11 @@ class FiniteField:
         if self.degree == 1:
             return a * b % self.p
         if a <= 1 or b <= 1:
-            return a * b  # 0 and 1 need no packing
-        p, d, w = self.p, self.degree, self._width
-        pa = self._pack(a)
-        prod = pa * (pa if a == b else self._pack(b))
-        low_bits = d * w
-        high = prod >> low_bits
-        prod &= (1 << low_bits) - 1
-        if high:
-            slots = array(self._typecode, high.to_bytes((d - 1) * w // 8, sys.byteorder))
-            for c, x in zip(slots, self._fold):
-                c %= p
-                if c:
-                    prod += c * x
-        out = 0
-        for c in reversed(array(self._typecode, prod.to_bytes(low_bits // 8, sys.byteorder))):
-            out = out * p + c % p
-        return out
+            return a * b
+        p, d = self.p, self.degree
+        c = np.convolve(np.array(self.decode(a), np.uint64), np.array(self.decode(b), np.uint64)) % p
+        # Every sum stays below the bound the constructor checks.
+        return self.encode(((c[:d] + c[d:] @ self.fold) % p).tolist())
 
     def pow(self, a: int, e: int) -> int:
         if self.degree == 1:

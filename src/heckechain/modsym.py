@@ -23,6 +23,7 @@ import numpy as np
 
 from ._kernels import hecke_accum, matmul_mod
 from .arith import DomainError, ext_gcd, inv_mod, is_prime
+from .dims import index_mu
 from .matrix import right_kernel
 
 MAX_WEIGHT = 12
@@ -134,6 +135,8 @@ def validate_space(N: int, k: int, ell: int) -> None:
         raise DomainError("working characteristic must not divide 6")
     if ell < k - 1:
         raise DomainError(f"working characteristic too small for weight {k}")
+    if index_mu(N) * (k - 1) * (ell - 1) ** 2 >= 2**63:
+        raise DomainError(f"working characteristic {ell} too large for int64 row reduction")
 
 
 class Presentation:

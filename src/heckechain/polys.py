@@ -10,9 +10,9 @@ Over F = F_{p^d}, d > 1, ``pow_mod`` packs an element of F[x]/(m), n = deg m,
 as n x d base-p digits into one int, the digit of x^i alpha^j in slot
 i(2d-1) + j, so a product is one big-int multiply (Kronecker substitution,
 von zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4).  A product slot
-sums at most nd(p-1)^2, and its width follows ``gf``'s rule: the smallest of
-16, 32 or 64 bits, else refused.  numpy reads the product out, folds
-alpha-degrees d .. 2d-2 back through alpha^j mod F's modulus and x-degrees
+sums at most nd(p-1)^2; ``slot_width`` picks the smallest of 16, 32 or 64
+bits that holds it, else refuses.  numpy reads the product out, folds
+alpha-degrees d .. 2d-2 back through F's ``fold`` table and x-degrees
 n .. 2n-2 through one F_p-linear map built per call.  Over F_p that costs
 more than the coefficient loop, whose products are machine-size, so d = 1
 keeps the loop.
@@ -132,7 +132,7 @@ def slot_width(bound: int, what: str) -> int:
     raise DomainError(f"{what} is too large for packed multiplication: slot bound has {bits} bits")
 
 
-def _fold_map(top: np.ndarray, count: int, p: int) -> np.ndarray:
+def fold_map(top: np.ndarray, count: int, p: int) -> np.ndarray:
     """F_p-linear map from coefficients (b digits each) at y^n .. y^(n+count-1)
     to their residues mod a monic g of degree n, b rows per power; ``top`` is
     the block of y^n, the products with -g_0 .. -g_(n-1)."""
@@ -161,11 +161,11 @@ def _pow_mod_packed(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
         return int.from_bytes(out.tobytes(), "little")
 
     # alpha^d .. alpha^(2d-2) mod F's modulus, then multiplication by each -m_k.
-    alpha = _fold_map((p - np.array([F.modulus[:d]], dtype=np.uint64)) % p, d - 1, p)
+    alpha = F.fold
     powers = np.vstack([np.eye(d, dtype=np.uint64), alpha])
     window = np.stack([powers[t : t + d] for t in range(d)])
     neg = np.tensordot((p - digits(m[:n])) % p, window, 1) % p
-    xfold = _fold_map(neg.transpose(1, 0, 2).reshape(d, n * d), n - 1, p)
+    xfold = fold_map(neg.transpose(1, 0, 2).reshape(d, n * d), n - 1, p)
 
     def mulmod(a: int, b: int) -> int:
         # No sum below exceeds nd(p-1)^2, which fits the slot, so uint64 is exact.

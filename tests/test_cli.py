@@ -31,6 +31,18 @@ def test_space_rejects_characteristic_dividing_level(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["space", "orbits"])
+def test_characteristic_too_large_for_int64_is_a_domain_error(capsys, command):
+    code, out, err = run(capsys, command, "11", "2", "2147483659")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_large_characteristic_within_int64_is_accepted(capsys):
+    code, out, err = run(capsys, "space", "11", "2", "1000003")
+    assert code == 0 and "cuspidal dimension 2" in out
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["space", "11"])

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckechain import polys
 from heckechain.arith import DomainError
 from heckechain.gf import field
 
@@ -11,7 +12,7 @@ FIELDS = [(5, 1), (5, 2), (7, 2), (11, 3), (13, 1), (13, 2), (7, 18), (2, 8)]
 
 def poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
     """Schoolbook product of little-endian digit lists, reduced by the monic
-    modulus: the reference for the packed FiniteField.mul."""
+    modulus: the reference for FiniteField.mul."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -82,21 +83,36 @@ def test_packed_mul_matches_schoolbook_on_every_pair_of_small_fields():
 
 @pytest.mark.parametrize(
     "p, d, width",
-    [(2, 20, 16), (7, 18, 16), (13, 6, 16), (101, 3, 16), (101, 4, 32), (4099, 2, 32)],
+    [
+        (2, 20, 16), (7, 18, 16), (13, 6, 16), (101, 3, 16), (101, 4, 32), (4099, 2, 32),
+        (2147483647, 2, 64),
+    ],
 )
 def test_packed_mul_matches_schoolbook_on_random_pairs(p, d, width):
-    # The fields cover p = 2 (12-digit table chunks), a large degree, both
-    # slot widths on either side of the 2^16 bound, and p > 64, where a chunk
-    # holds one digit and packing needs no table.
+    # The fields cover p = 2, a large degree and large p.  `width` is the slot
+    # width of the constructor's bound 2d(p-1)^2 + p, which also bounds the
+    # uint64 sums of mul; the last field's bound needs all 64 bits.
     F = field(p, d)
-    assert F._width == width
-    assert (F._pack_table is None) == (p > 64)
+    assert polys.slot_width(2 * d * (p - 1) ** 2 + p, "") == width
     rng = random.Random(p * 100 + d)
     edge = [0, 1, p - 1, p, F.order - 1]
     pairs = [(a, b) for a in edge for b in edge]
     pairs += [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
     for a, b in pairs:
         assert F.mul(a, b) == reference_mul(F, a, b), (a, b)
+
+
+@pytest.mark.parametrize("p, d", [(7, 18), (13, 4), (101, 4), (2, 20)])
+def test_fold_rows_are_high_powers_of_the_generator(p, d):
+    F = field(p, d)
+    Fp = field(p)
+    assert F.fold.shape == (d - 1, d)
+    for i, row in enumerate(F.fold):
+        x_power = (0,) * (d + i) + (1,)
+        expected = polys.mod(Fp, x_power, F.modulus)
+        assert tuple(int(c) for c in row) == expected + (0,) * (d - len(expected)), i
+    with pytest.raises(ValueError):
+        F.fold[0, 0] = 1
 
 
 def test_field_beyond_64_bit_slots_is_refused():
