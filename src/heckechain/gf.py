@@ -9,7 +9,8 @@ across runs and machines. Degree-1 fields reduce to plain mod-p arithmetic.
 For d > 1, ``fold`` holds the base-p digits of alpha^d, ..., alpha^(2d-2) mod
 the modulus, one read-only row each.  ``mul`` convolves the two digit vectors
 and folds the product's top d-1 coefficients back through it; ``polys.pow_mod``
-reads the same table.
+reads the same table.  Those sums stay below 2d(p-1)^2 + p, so a field where
+that bound needs more than 64 bits is refused.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ class FiniteField:
     def _init_extension(self) -> None:
         """Canonical modulus and the fold table of ``mul``."""
         p, d = self.p, self.degree
-        # Refuses a field whose product sums, below 2d(p-1)^2 + p, pass 64 bits.
-        polys.slot_width(2 * d * (p - 1) ** 2 + p, f"F_{p}^{d}")
+        if (2 * d * (p - 1) ** 2 + p).bit_length() > 64:  # mul's sums must fit uint64
+            raise DomainError(f"F_{p}^{d} is too large for uint64 products")
         self.modulus = _canonical_modulus(p, d)
-        top = (p - np.array([self.modulus[:d]], dtype=np.uint64)) % p
+        top = np.fromiter((-c % p for c in self.modulus[:d]), np.uint64, d).reshape(1, d)
         self.fold = polys.fold_map(top, d - 1, p)
         self.fold.flags.writeable = False
 
@@ -117,8 +118,9 @@ class FiniteField:
         if a <= 1 or b <= 1:
             return a * b
         p, d = self.p, self.degree
-        c = np.convolve(np.array(self.decode(a), np.uint64), np.array(self.decode(b), np.uint64)) % p
-        # Every sum stays below the bound the constructor checks.
+        da, db = (np.fromiter(self.decode(x), np.uint64, d) for x in (a, b))
+        c = np.convolve(da, db) % p
+        # Every sum stays below 2d(p-1)^2 + p, which the constructor checks.
         return self.encode(((c[:d] + c[d:] @ self.fold) % p).tolist())
 
     def pow(self, a: int, e: int) -> int:

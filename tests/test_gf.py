@@ -89,9 +89,9 @@ def test_packed_mul_matches_schoolbook_on_every_pair_of_small_fields():
     ],
 )
 def test_packed_mul_matches_schoolbook_on_random_pairs(p, d, width):
-    # The fields cover p = 2, a large degree and large p.  `width` is the slot
-    # width of the constructor's bound 2d(p-1)^2 + p, which also bounds the
-    # uint64 sums of mul; the last field's bound needs all 64 bits.
+    # The fields cover p = 2, a large degree and large p.  `width` is the
+    # smallest of 16, 32 or 64 bits holding 2d(p-1)^2 + p, the bound on mul's
+    # uint64 sums that the constructor checks; the last field needs all 64.
     F = field(p, d)
     assert polys.slot_width(2 * d * (p - 1) ** 2 + p, "") == width
     rng = random.Random(p * 100 + d)
