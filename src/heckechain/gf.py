@@ -6,8 +6,8 @@ The defining modulus is the monic irreducible of degree d whose non-leading
 coefficient vector has the smallest integer encoding, so fields are canonical
 across runs and machines. Degree-1 fields reduce to plain mod-p arithmetic.
 
-For d > 1, ``fold`` holds the base-p digits of alpha^d, ..., alpha^(2d-2) mod
-the modulus, one read-only row each.  ``mul`` convolves the two digit vectors
+For d > 1, ``fold`` holds the base-p digits of alpha^d, ..., alpha^(2d-2),
+alpha the class of x, one read-only row each.  ``mul`` convolves the two digit vectors
 and folds the product's top d-1 coefficients back through it; ``polys.pow_mod``
 reads the same table.  Those sums stay below 2d(p-1)^2 + p, so a field where
 that bound needs more than 64 bits is refused.
