@@ -8,7 +8,9 @@ memoised (the work mod ell) and with the memo cleared first; a
 ``FiniteField.mul`` row times a batch of 1000 multiplies of seeded random
 element pairs, the ``FiniteField.inv`` row 100 inverses of seeded random
 nonzero elements, and the ``pow_mod`` row raises a seeded degree-18 polynomial
-to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial.
+to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial.  The
+``charpoly_mod`` row is one seeded random 40 x 40 matrix over F_7, and the
+``polys.factor`` row one seeded random monic degree-30 polynomial over F_13.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
@@ -19,7 +21,7 @@ import time
 
 import numpy as np
 
-from heckechain import _kernels, polys
+from heckechain import _kernels, matrix, polys
 from heckechain.arith import crt_pair, primes_up_to
 from heckechain.gf import field
 from heckechain.mlt import MAX_WINDOW
@@ -130,6 +132,18 @@ def bench_pow_mod(repeats):
     return [("pow_mod F_7^18 deg 18", best_of(lambda: polys.pow_mod(F, a, e, m), repeats))]
 
 
+def bench_charpoly(repeats):
+    a = np.random.default_rng(40).integers(0, 7, size=(40, 40)).astype(np.int64)
+    return [("charpoly_mod 40x40 F_7", best_of(lambda: matrix.charpoly_mod(a, 7), repeats))]
+
+
+def bench_factor(repeats):
+    F = field(13)
+    rng = random.Random(1330)
+    f = tuple(rng.randrange(13) for _ in range(30)) + (1,)
+    return [("polys.factor deg-30 F_13", best_of(lambda: polys.factor(F, f), repeats))]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -143,6 +157,8 @@ def main(argv=None):
         + bench_field_mul(args.repeats)
         + bench_field_inv(args.repeats)
         + bench_pow_mod(args.repeats)
+        + bench_charpoly(args.repeats)
+        + bench_factor(args.repeats)
     )
     width = max(len(label) for label, _ in rows)
     for label, t in rows:

@@ -15,11 +15,11 @@ import argparse
 import json
 import sys
 
-from .arith import DomainError, primes_up_to
+from .arith import DomainError
 from .congruence import space_congruences, weight_compatible
 from .dims import dim_cusp_forms, dim_new
 from .eigensystems import decompose, operator_primes, sturm_bound
-from .graph import chain_graph, mazur_report
+from .graph import chain_graph, characteristics, mazur_report
 from .images import ImageClass, classify_image, is_adequate
 from .mlt import EdgeContext, all_verdicts, best_verdict, find_good_dihedral
 from .modsym import symbol_space, validate_level_weight
@@ -140,7 +140,7 @@ def _payload_congruences(args) -> dict:
     checked = []
     skipped = []
     edges = []
-    for ell in primes_up_to(lmax):
+    for ell in characteristics(lmax):
         if not weight_compatible(k1, k2, ell):
             skipped.append([ell, f"weights {k1} and {k2} are incompatible at {ell}"])
             continue
@@ -284,7 +284,7 @@ def _render_mlt_edge(p: dict) -> str:
 
 
 def _payload_graph(args) -> dict:
-    report = mazur_report(args.N, args.k, primes_up_to(args.lmax))
+    report = mazur_report(args.N, args.k, characteristics(args.lmax))
     return {
         "N": args.N,
         "k": args.k,

@@ -225,9 +225,19 @@ def _in_powers(T: np.ndarray, S: list[np.ndarray], d: int, ell: int) -> np.ndarr
 
 
 def _restrict(M: np.ndarray, basis: np.ndarray, ell: int) -> np.ndarray:
-    """Matrix of M restricted to the invariant subspace spanned by the columns
-    of basis over F_ell."""
-    return solve_columns(basis, matmul_mod(M, basis, ell), ell)
+    """M restricted to the invariant span of basis's columns over F_ell, read
+    off rows where basis is I and proved by one product.  Every basis has such
+    rows: `decompose` starts from eye(n), `right_kernel` gives K[free] = I, and
+    basis @ ker (or W @ P in `_narrow`) keeps them at rows_basis[free_ker]."""
+    X = matmul_mod(M, basis, ell)
+    unit = np.flatnonzero((np.count_nonzero(basis, axis=1) == 1) & (basis.sum(axis=1) == 1))
+    cols, first = np.unique(basis[unit].argmax(axis=1), return_index=True)
+    if len(cols) != basis.shape[1]:
+        raise DomainError("block basis has no identity rows")
+    R = X[unit[first]]
+    if not np.array_equal(matmul_mod(basis, R, ell), X):
+        raise DomainError("linear system is inconsistent")
+    return R
 
 
 def _split_block(R: np.ndarray, fac, ell: int) -> list[tuple[np.ndarray, polys.Poly]]:

@@ -25,6 +25,17 @@ from .mlt import EdgeContext, MltVerdict, best_verdict
 from .modsym import validate_level_weight
 
 
+MAX_LMAX = 1000
+
+
+def characteristics(lmax: int) -> list[int]:
+    """The primes up to lmax, each a characteristic whose spaces are built and
+    split; above ``MAX_LMAX`` refused before the lmax + 1 bytes are taken."""
+    if lmax > MAX_LMAX:
+        raise DomainError(f"lmax above supported ceiling {MAX_LMAX}")
+    return primes_up_to(lmax)
+
+
 @dataclass(frozen=True)
 class Edge:
     u: object
@@ -209,6 +220,7 @@ def chain_graph(a, b, lmax: int) -> CongruenceGraph:
     classes congruent mod a prime ell <= lmax, as found through their
     reductions, and carries the best lifting-theorem verdict for the image of
     the left class."""
+    ells = characteristics(lmax)
     for N, k in (a[:2], b[:2]):
         validate_level_weight(N, k)
     classes = [
@@ -217,7 +229,7 @@ def chain_graph(a, b, lmax: int) -> CongruenceGraph:
     graph = CongruenceGraph()
     for cls in classes:
         graph.add_node("%d.%d.%d" % cls.label)
-    for ell in primes_up_to(lmax):
+    for ell in ells:
         for ca, cb in combinations(classes, 2):
             if not weight_compatible(ca.k, cb.k, ell):
                 continue

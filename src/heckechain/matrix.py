@@ -7,8 +7,8 @@ roots; the list routines `grref`, `gkernel`, `gsolve_columns` and `gcharpoly`
 have no caller in the package.
 
 Both characteristic polynomials, `charpoly_mod` and `gcharpoly`, reduce to
-upper Hessenberg form in their own representation and then share one
-recurrence over a `FiniteField`, `_hessenberg_charpoly`.
+upper Hessenberg form in their own representation and then run one minors
+recurrence, over F_p on plain ints and otherwise over a `FiniteField`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import matmul_mod, rref_mod
 from .arith import DomainError
-from .gf import FiniteField, field
+from .gf import FiniteField
 from .polys import Poly
 
 
@@ -63,22 +63,16 @@ def _hessenberg_mod(a: np.ndarray, p: int) -> np.ndarray:
     H = np.array(a, dtype=np.int64) % p
     n = H.shape[0]
     for m in range(1, n):
-        pr = -1
-        for i in range(m, n):
-            if H[i, m - 1]:
-                pr = i
-                break
-        if pr < 0:
+        nz = np.flatnonzero(H[m:, m - 1])
+        if nz.size == 0:
             continue
-        if pr != m:
-            H[[m, pr]] = H[[pr, m]]
-            H[:, [m, pr]] = H[:, [pr, m]]
-        inv = pow(int(H[m, m - 1]), p - 2, p)
-        for i in range(m + 1, n):
-            if H[i, m - 1]:
-                u = int(H[i, m - 1]) * inv % p
-                H[i] = (H[i] - u * H[m]) % p
-                H[:, m] = (H[:, m] + u * H[:, i]) % p
+        pr = m + int(nz[0])
+        H[[m, pr]] = H[[pr, m]]
+        H[:, [m, pr]] = H[:, [pr, m]]
+        # Eliminations below the pivot commute: all rows, then all columns.
+        u = H[m + 1 :, m - 1] * pow(int(H[m, m - 1]), p - 2, p) % p
+        H[m + 1 :] = (H[m + 1 :] - u[:, None] * H[m]) % p
+        H[:, m] = (H[:, m] + H[:, m + 1 :] @ u) % p
     return H
 
 
@@ -87,7 +81,7 @@ def charpoly_mod(a: np.ndarray, p: int) -> Poly:
     n = a.shape[0]
     if a.shape != (n, n):
         raise DomainError("characteristic polynomial needs a square matrix")
-    return _hessenberg_charpoly(field(p), _hessenberg_mod(a, p).tolist())
+    return _hessenberg_charpoly_mod(p, _hessenberg_mod(a, p).tolist())
 
 
 def _hessenberg_charpoly(F: FiniteField, H: list[list[int]]) -> Poly:
@@ -95,19 +89,31 @@ def _hessenberg_charpoly(F: FiniteField, H: list[list[int]]) -> Poly:
     on its leading principal minors."""
     minors: list[list[int]] = [[1]]
     for m in range(1, len(H) + 1):
-        prev = minors[m - 1]
-        cur = [0, *prev]
-        h = H[m - 1][m - 1]
-        for idx, co in enumerate(prev):
-            cur[idx] = F.sub(cur[idx], F.mul(h, co))
-        t = 1
-        for i in range(m - 1, 0, -1):
-            t = F.mul(t, H[i][i - 1])
+        cur = [0, *minors[-1]]
+        t = 1  # the subdiagonal product; the one made at i = 1 is unused
+        for i in range(m, 0, -1):
             coeff = F.mul(H[i - 1][m - 1], t)
             if coeff:
                 for idx, co in enumerate(minors[i - 1]):
                     cur[idx] = F.sub(cur[idx], F.mul(coeff, co))
+            t = F.mul(t, H[i - 1][i - 2])
         minors.append(cur)
+    return tuple(minors[-1])
+
+
+def _hessenberg_charpoly_mod(p: int, H: list[list[int]]) -> Poly:
+    """The same recurrence over F_p on plain ints, each minor reduced once."""
+    minors: list[list[int]] = [[1]]
+    for m in range(1, len(H) + 1):
+        cur = [0, *minors[-1]]
+        t = 1
+        for i in range(m, 0, -1):
+            coeff = H[i - 1][m - 1] * t % p
+            if coeff:
+                for idx, co in enumerate(minors[i - 1]):
+                    cur[idx] -= coeff * co
+            t = t * H[i - 1][i - 2] % p
+        minors.append([c % p for c in cur])
     return tuple(minors[-1])
 
 

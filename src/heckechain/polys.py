@@ -15,7 +15,7 @@ bits that holds it, else refuses.  numpy reads the product out, folds
 alpha-degrees d .. 2d-2 back through F's ``fold`` table and x-degrees
 n .. 2n-2 through one F_p-linear map built per call.  Over F_p that costs
 more than the coefficient loop, whose products are machine-size, so d = 1
-keeps the loop.
+keeps the loop, which ``mul`` and ``divmod_poly`` run on plain ints.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ def mul(F: FiniteField, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
     out = [0] * (len(f) + len(g) - 1)
+    if F.degree == 1:  # plain ints, one reduction per coefficient
+        for i, a in enumerate(f):
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+        return trim([c % F.p for c in out])
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
@@ -88,6 +93,12 @@ def divmod_poly(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     dg = degree(g)
     inv_lead = F.inv(g[-1])
     quo = [0] * (len(f) - dg)
+    if F.degree == 1:  # plain ints; rem[i] is reduced when it leads
+        for i in range(len(f) - 1, dg - 1, -1):
+            quo[i - dg] = c = rem[i] * inv_lead % F.p
+            for j, b in enumerate(g, i - dg):
+                rem[j] -= c * b
+        return trim(quo), trim([r % F.p for r in rem[:dg]])
     for i in range(len(f) - 1, dg - 1, -1):
         c = F.mul(rem[i], inv_lead)
         if c:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heckechain import cli, planner
+from heckechain import cli, graph, planner
 
 DESCRIPTORS = Path(__file__).parent / "golden"
 
@@ -144,6 +144,25 @@ def test_protection_bound_above_ceiling_is_a_domain_error(capsys, argv):
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (1, "")
     assert err == "error: good-dihedral bound above supported ceiling 127\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("congruences", "1", "12", "11", "2"),
+        ("graph", "11", "2"),
+        ("chain", "1.12.0", "11.2.0"),
+    ],
+    ids=["congruences", "graph", "chain"],
+)
+def test_lmax_above_ceiling_is_refused_before_listing_primes(capsys, monkeypatch, argv):
+    def refuse(bound):
+        raise AssertionError(f"primes_up_to({bound}) called")
+
+    monkeypatch.setattr(graph, "primes_up_to", refuse)
+    code, out, err = run(capsys, *argv, "--lmax", str(graph.MAX_LMAX + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: lmax above supported ceiling {graph.MAX_LMAX}\n"
 
 
 def test_plan_and_connect_from_descriptor_files(capsys, tmp_path):

@@ -328,3 +328,58 @@ def test_later_prime_values_follow_query_order(N, k, ell, pinned, monkeypatch):
     (s,) = decompose(N, k, ell)
     assert s.degree == 1 and s.multiplicity > 1
     assert {q: s.a(q) for q in pinned} == pinned
+
+
+# Spaces whose decompositions `_restrict` is checked on: prime and composite
+# levels, weights 2 and 4, a non-semisimple orbit (49.4.5) and the degree-18
+# orbit of 389.2.7; then blocks holding several systems, which `_narrow`
+# splits.
+RESTRICT_SPACES = [(23, 2, 5), (67, 2, 5), (49, 4, 5), (97, 4, 13), (389, 2, 7)]
+NARROWED_SPACES = [(6, 6, 5), (14, 4, 5), (48, 2, 11)]
+
+
+def solved_restriction(M, basis, ell):
+    return matrix.solve_columns(basis, M @ basis % ell, ell)
+
+
+@pytest.mark.parametrize("N, k, ell", RESTRICT_SPACES + NARROWED_SPACES)
+def test_restrict_equals_the_solved_restriction(N, k, ell, monkeypatch):
+    restrict, split_block = eigensystems._restrict, eigensystems._split_block
+    checked = []
+
+    def compared(M, basis, ell):
+        R = restrict(M, basis, ell)
+        assert np.array_equal(R, solved_restriction(M, basis, ell))
+        checked.append(basis.shape)
+        return R
+
+    def split_compared(R, fac, ell):
+        pieces = split_block(R, fac, ell)
+        for ker, _ in pieces:
+            compared(R, ker, ell)
+        return pieces
+
+    monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
+    monkeypatch.setattr(eigensystems, "_restrict", compared)
+    monkeypatch.setattr(eigensystems, "_split_block", split_compared)
+    systems = decompose(N, k, ell)
+    later = [q for q in primes_up_to(sturm_bound(N, k) + 20) if N * ell % q][-3:]
+    for s in systems:
+        assert s.semisimple in (True, False)
+        for q in s.base_primes + later:
+            s.a(q)
+        compared(s._hecke_matrix(later[0]), s._W, ell)
+    assert len(checked) > len(systems)
+
+
+def test_restrict_refuses_a_subspace_that_is_not_invariant():
+    swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    with pytest.raises(DomainError, match="inconsistent"):
+        eigensystems._restrict(swap, np.array([[1], [0]], dtype=np.int64), 5)
+
+
+def test_restrict_refuses_a_basis_without_identity_rows():
+    basis = np.array([[1, 1], [1, 2], [2, 0]], dtype=np.int64)
+    assert matrix.rref(basis, 5)[1] == 2
+    with pytest.raises(DomainError, match="no identity rows"):
+        eigensystems._restrict(np.eye(3, dtype=np.int64), basis, 5)

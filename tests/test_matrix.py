@@ -124,3 +124,55 @@ def test_right_kernel_matches_loop(p):
         assert np.array_equal(K, want)
         assert np.array_equal(K[free], np.eye(len(free), dtype=np.int64))
         assert not (a @ K % p).any()
+
+
+def loop_hessenberg_mod(a, p):
+    """Upper Hessenberg form by one row and column operation at a time."""
+    H = np.array(a, dtype=np.int64) % p
+    n = H.shape[0]
+    for m in range(1, n):
+        pr = next((i for i in range(m, n) if H[i, m - 1]), -1)
+        if pr < 0:
+            continue
+        if pr != m:
+            H[[m, pr]] = H[[pr, m]]
+            H[:, [m, pr]] = H[:, [pr, m]]
+        inv = pow(int(H[m, m - 1]), p - 2, p)
+        for i in range(m + 1, n):
+            if H[i, m - 1]:
+                u = int(H[i, m - 1]) * inv % p
+                H[i] = (H[i] - u * H[m]) % p
+                H[:, m] = (H[:, m] + u * H[:, i]) % p
+    return H
+
+
+def hessenberg_cases(p):
+    rng = np.random.default_rng(p)
+    cases = [np.zeros((4, 4), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)]
+    for n in (1, 2, 5, 8, 12):
+        cases.append(rand_matrix(rng, n, n, p))
+        cases.append(rand_matrix(rng, n, 1, p) @ rand_matrix(rng, 1, n, p) % p)
+        cases.append(np.triu(rand_matrix(rng, n, n, p), -1))
+        # Mostly zero, so some columns have a zero subdiagonal, and some
+        # pivots are found below the subdiagonal.
+        cases.append(rand_matrix(rng, n, n, p) * (rng.random((n, n)) < 0.2))
+    # A zero subdiagonal below the first column; a column-permuted identity.
+    block = rand_matrix(rng, 6, 6, p)
+    block[1:, 0] = 0
+    cases += [block, np.eye(7, dtype=np.int64)[::-1]]
+    return cases
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 10007])
+def test_hessenberg_matches_loop(p):
+    for a in hessenberg_cases(p):
+        H = matrix._hessenberg_mod(a, p)
+        assert np.array_equal(H, loop_hessenberg_mod(a, p))
+        assert not np.tril(H, -2).any()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 10007])
+def test_charpoly_mod_matches_the_field_recurrence(p):
+    for a in hessenberg_cases(p):
+        H = matrix._hessenberg_mod(a, p).tolist()
+        assert matrix.charpoly_mod(a, p) == matrix._hessenberg_charpoly(field(p), H)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -263,3 +264,26 @@ def test_packed_pow_mod_at_the_64_bit_slot_edge():
         else:
             with pytest.raises(DomainError, match="too large"):
                 polys.pow_mod(F, a, 5, m)
+
+
+def convolve_mod(f, g, p):
+    """f * g over F_p with exact (object) integer sums."""
+    if not f or not g:
+        return ()
+    c = np.convolve(np.array(f, dtype=object), np.array(g, dtype=object))
+    return polys.trim(int(x) % p for x in c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 2147483647])
+def test_prime_field_mul_and_division_match_convolution(p):
+    F = field(p)
+    rng = random.Random(p)
+    for _ in range(60):
+        f = polys.trim(rng.randrange(p) for _ in range(rng.randrange(0, 12)))
+        g = rand_poly(F, rng, rng.randrange(0, 8))
+        assert polys.mul(F, f, g) == convolve_mod(f, g, p)
+        q, r = polys.divmod_poly(F, f, g)
+        assert polys.degree(r) < polys.degree(g)
+        assert all(0 <= c < p for c in q + r)
+        qg = convolve_mod(q, g, p)
+        assert polys.trim((a + b) % p for a, b in itertools.zip_longest(qg, r, fillvalue=0)) == f
