@@ -30,7 +30,7 @@ MAX_LMAX = 1000
 
 def characteristics(lmax: int) -> list[int]:
     """The primes up to lmax, each a characteristic whose spaces are built and
-    split; above ``MAX_LMAX`` refused before the lmax + 1 bytes are taken."""
+    split; a value above ``MAX_LMAX`` is refused before the list is made."""
     if lmax > MAX_LMAX:
         raise DomainError(f"lmax above supported ceiling {MAX_LMAX}")
     return primes_up_to(lmax)
