@@ -9,8 +9,10 @@ memoised (the work mod ell) and with the memo cleared first; a
 element pairs, the ``FiniteField.inv`` row 100 inverses of seeded random
 nonzero elements, and the ``pow_mod`` row raises a seeded degree-18 polynomial
 to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial.  The
-``charpoly_mod`` row is one seeded random 40 x 40 matrix over F_7, and the
-``polys.factor`` row one seeded random monic degree-30 polynomial over F_13.
+``charpoly_mod`` row is one seeded random 40 x 40 matrix over F_7, the
+``polys.factor`` row one seeded random monic degree-30 polynomial over F_13,
+the ``P1List`` row builds P^1(Z/389), and the ``distinct_degree`` row splits
+the product of two seeded monic irreducibles of degree 18 over F_7.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
@@ -144,6 +146,23 @@ def bench_factor(repeats):
     return [("polys.factor deg-30 F_13", best_of(lambda: polys.factor(F, f), repeats))]
 
 
+def bench_p1(repeats):
+    return [("P1List 389", best_of(lambda: P1List(389), repeats))]
+
+
+def bench_distinct_degree(repeats):
+    # Degree 36 with both factors of degree 18: the distinct-degree loop runs
+    # all 18 Frobenius steps before it splits anything off.
+    F = field(7)
+    rng = random.Random(718)
+    f = (1,)
+    while polys.degree(f) < 36:
+        g = tuple(rng.randrange(7) for _ in range(18)) + (1,)
+        if polys.is_irreducible(F, g) and polys.gcd(F, f, g) == (1,):
+            f = polys.mul(F, f, g)
+    return [("distinct_degree 2 x deg 18 F_7", best_of(lambda: polys.distinct_degree(F, f), repeats))]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -159,6 +178,8 @@ def main(argv=None):
         + bench_pow_mod(args.repeats)
         + bench_charpoly(args.repeats)
         + bench_factor(args.repeats)
+        + bench_p1(args.repeats)
+        + bench_distinct_degree(args.repeats)
     )
     width = max(len(label) for label, _ in rows)
     for label, t in rows:

@@ -79,6 +79,8 @@ def _sym_blocks(mats, k, ell):
     in (a X + b Y)^i (c X + d Y)^(kk-i) mod ell, kk = k - 2, for the g-th
     matrix (a, b, c, d)."""
     kk = k - 2
+    if kk == 0:
+        return np.ones((mats.shape[0], 1, 1), dtype=np.int64)
     C = _binomial_table(k, ell)
     pw = np.ones((mats.shape[0], 4, kk + 1), dtype=np.int64)
     base = mats % ell
@@ -101,16 +103,18 @@ def _sym_blocks(mats, k, ell):
 def hecke_accum(acc, mats, tbl, reps, k, N, ell):
     """Accumulate the determinant-q matrix action on the symbol basis.
 
-    acc is n_symbols x (#reps * (k - 1)), zeroed by the caller; mats holds
-    rows (a, b, c, d); tbl maps a pair mod N to its slot in P^1 or -1.  The
-    reps passed are the sources, all of P^1 or any subset of it; targets
-    always come from the full tbl, so n_symbols = #P^1 * (k - 1).  Column
-    block x feeds row block t, the slot of (u, v) * g for the x-th rep
-    (u, v); entry (i, j) of the g-th Sym^(k-2) block couples source exponent
-    i to target exponent j.  Sums are exact in int64 and reduced mod ell
-    once at the end.
+    acc is a C-contiguous n_symbols x (#reps * (k - 1)) array, zeroed by the
+    caller; mats holds rows (a, b, c, d); tbl maps a pair mod N to its slot
+    in P^1 or -1.  The reps passed are the sources, all of P^1 or any subset
+    of it; targets always come from the full tbl, so n_symbols = #P^1 *
+    (k - 1).  Column block x feeds row block t, the slot of (u, v) * g for
+    the x-th rep (u, v); entry (i, j) of the g-th Sym^(k-2) block couples
+    source exponent i to target exponent j.  Sums are exact in int64,
+    scattered through one flat index and reduced mod ell once at the end.
     """
     w = k - 1
+    if not acc.flags.c_contiguous:  # reshape would copy, and the sums be lost
+        raise ValueError("hecke_accum needs a C-contiguous accumulator")
     B = _sym_blocks(mats, k, ell)
     u = reps[:, 0]
     v = reps[:, 1]
@@ -123,7 +127,7 @@ def hecke_accum(acc, mats, tbl, reps, k, N, ell):
         t = targets[g, x]
         rows = (t * w)[:, None, None] + e[None, None, :]
         cols = (x * w)[:, None, None] + e[None, :, None]
-        np.add.at(acc, (rows, cols), B[g0 + g])
+        np.add.at(acc.reshape(-1), (rows * acc.shape[1] + cols).ravel(), B[g0 + g].ravel())
     acc %= ell
 
 

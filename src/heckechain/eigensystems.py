@@ -7,12 +7,13 @@ and the minimal polynomial of its eigenvalue at every prime come from F_ell
 linear algebra on the block. The eigenvalues a(q) are a character of the
 F_ell Hecke algebra on the block, with values in its residue field
 F_{ell^degree} (Stein, *Modular Forms: A Computational Approach*, ch. 9):
-F_ell linear algebra plus one root per orbit, from the first query on.
+F_ell linear algebra plus one root per orbit, from the first query on.  An
+operator already semisimple over F_{ell^degree} is its own semisimple part.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import accumulate
 from math import lcm
 
@@ -96,18 +97,16 @@ class Eigensystem:
         return field(self.ell, self.degree)
 
     @cached_property
+    def _semisimple_at(self) -> dict[int, bool]:
+        """Whether each base prime's minimal polynomial kills T_p on the block."""
+        ell, basis = self.ell, self._basis
+        restricted = ((q, _restrict(self._hecke_matrix(q), basis, ell)) for q in self.base_primes)
+        return {q: not poly_of_matrix(self._minpolys[q], R, ell).any() for q, R in restricted}
+
+    @property
     def semisimple(self) -> bool:
-        """Whether the Hecke operators act semisimply on the block: each base
-        prime's minimal polynomial annihilates its operator's restriction."""
-        ell = self.ell
-        return not any(
-            poly_of_matrix(
-                self._minpolys[q],
-                _restrict(self._hecke_matrix(q), self._basis, ell),
-                ell,
-            ).any()
-            for q in self.base_primes
-        )
+        """Whether the Hecke operators act semisimply on the block."""
+        return all(self._semisimple_at.values())
 
     @property
     def label(self) -> str:
@@ -157,18 +156,22 @@ class Eigensystem:
 
     # -- the character -----------------------------------------------------
 
-    def _semisimple_part(self, q: int) -> np.ndarray:
-        """S_q = R_q^e for R_q = T_q on W and e the least power of ell^degree
-        >= block_dim: R_q's nilpotent part dies, its eigenvalues stay fixed."""
+    def _semisimple_part(self, R: np.ndarray, semisimple: bool) -> np.ndarray:
+        """S = R^e for R = T_q on W and e the least power of ell^degree >=
+        block_dim: R's nilpotent part dies, its eigenvalues stay fixed.  A
+        semisimple R with eigenvalues in F_{ell^degree} already is S."""
+        if semisimple:
+            return R
         e, order = 1, self.ell**self.degree
         while e < self.block_dim:
             e *= order
-        return matrix_power(_restrict(self._hecke_matrix(q), self._W, self.ell), e, self.ell)
+        return matrix_power(R, e, self.ell)
 
     def _character(self) -> None:
         """Base-prime values at the conjugate of theta whose tuple is least."""
         ell, d = self.ell, self.degree
-        S = {p: self._semisimple_part(p) for p in self.base_primes}
+        restricted = ((p, _restrict(self._hecke_matrix(p), self._W, ell)) for p in self.base_primes)
+        S = {p: self._semisimple_part(R, self._semisimple_at[p]) for p, R in restricted}
         g = next((p for p in S if polys.degree(self._minpolys[p]) == d), None)
         if d == 1:
             T, f = np.eye(self.block_dim, dtype=np.int64), (ell - 1, 1)
@@ -189,9 +192,13 @@ class Eigensystem:
     def _narrow(self, q: int) -> None:
         """a(q) on the piece of W, split by the semisimple part at q, where
         the character takes its smallest value; W becomes that piece."""
-        ell = self.ell
-        S = self._semisimple_part(q)
-        fac = polys.factor(field(ell), charpoly_mod(S, ell))
+        ell, Fl = self.ell, field(self.ell)
+        R = _restrict(self._hecke_matrix(q), self._W, ell)
+        # R^e has R's charpoly: x -> x^e permutes the roots of each factor.
+        fac = polys.factor(Fl, charpoly_mod(R, ell))
+        radical = reduce(partial(polys.mul, Fl), (f for f, _ in fac))
+        in_field = all(self.degree % polys.degree(f) == 0 for f, _ in fac)
+        S = self._semisimple_part(R, in_field and not poly_of_matrix(radical, R, ell).any())
         pieces = _split_block(S, fac, ell) if len(fac) > 1 else [(None, fac[0][0])]
         found = []
         for P, f in pieces:

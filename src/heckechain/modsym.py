@@ -1,8 +1,8 @@
 """Modular symbols for Gamma0(N) in even weight over a prime field.
 
 Generators are monomial-times-coset pairs indexed by x * (k - 1) + i, where x
-runs over the projective line mod N in lexicographic representative order and
-i is the monomial exponent. The space is the quotient by the two- and
+runs over the projective line mod N in lexicographic representative order (one
+numpy scan per row u finds its new reps) and i is the monomial exponent. The space is the quotient by the two- and
 three-term relations, with the non-pivot (free) symbols as basis; the cuspidal
 part is the kernel of the boundary map to cusp classes on them. T_q applies
 the determinant-q Merel matrices to the source reps, the P^1 reps holding a free
@@ -38,17 +38,15 @@ class P1List:
             self.reps = np.zeros((1, 2), dtype=np.int64)
             self.table = np.zeros((1, 1), dtype=np.int64)
             return
-        units = [t for t in range(1, N) if gcd(t, N) == 1]
+        units = np.flatnonzero(np.gcd(np.arange(N), N) == 1)
         table = np.full((N, N), -1, dtype=np.int64)
         reps: list[tuple[int, int]] = []
         for u in range(N):
-            for v in range(N):
-                if table[u, v] != -1 or gcd(gcd(u, v), N) != 1:
-                    continue
-                idx = len(reps)
-                reps.append((u, v))
-                for t in units:
-                    table[t * u % N, t * v % N] = idx
+            # A rep's orbit can fill later cells of its own row, hence the recheck.
+            for v in np.flatnonzero((table[u] < 0) & (np.gcd(np.gcd(u, np.arange(N)), N) == 1)):
+                if table[u, v] < 0:
+                    table[units * u % N, units * v % N] = len(reps)
+                    reps.append((u, int(v)))
         self.reps = np.array(reps, dtype=np.int64)
         self.table = table
 

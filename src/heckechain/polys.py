@@ -2,9 +2,10 @@
 
 Polynomials are tuples of field-element encodings, little endian, with no
 trailing zeros; the zero polynomial is the empty tuple. Factorization runs
-squarefree / distinct-degree / equal-degree splitting with a PRNG seeded from
-the input, so factor order and the factors themselves are reproducible. The
-equal-degree step, and with it root finding, needs odd characteristic.
+squarefree / distinct-degree (by the Frobenius matrix, von zur Gathen &
+Gerhard, *Modern Computer Algebra*, 14.2) / equal-degree splitting with a
+PRNG seeded from the input, so factors and their order are reproducible;
+the equal-degree step, and with it root finding, needs odd characteristic.
 
 Over F = F_{p^d}, d > 1, ``pow_mod`` packs an element of F[x]/(m), n = deg m,
 as n x d base-p digits into one int, the digit of x^i alpha^j in slot
@@ -15,7 +16,8 @@ bits that holds it, else refuses.  numpy reads the product out, folds
 alpha-degrees d .. 2d-2 back through F's ``fold`` table and x-degrees
 n .. 2n-2 through one F_p-linear map built per call.  Over F_p that costs
 more than the coefficient loop, whose products are machine-size, so d = 1
-keeps the loop, which ``mul`` and ``divmod_poly`` run on plain ints.
+keeps the loop, which ``add``, ``mul``, ``divmod_poly`` and the Frobenius
+step run on plain ints.
 """
 
 from __future__ import annotations
@@ -50,10 +52,14 @@ def add(F: FiniteField, f: Poly, g: Poly) -> Poly:
     n = max(len(f), len(g))
     f = f + (0,) * (n - len(f))
     g = g + (0,) * (n - len(g))
+    if F.degree == 1:
+        return trim([(a + b) % F.p for a, b in zip(f, g)])
     return trim(F.add(a, b) for a, b in zip(f, g))
 
 
 def neg(F: FiniteField, f: Poly) -> Poly:
+    if F.degree == 1:
+        return tuple(-a % F.p for a in f)
     return tuple(F.neg(a) for a in f)
 
 
@@ -276,20 +282,38 @@ def squarefree_decomposition(F: FiniteField, f: Poly) -> list[tuple[Poly, int]]:
     return sorted(parts.items(), key=lambda gm: (degree(gm[0]), gm[0]))
 
 
+def _frobenius(F: FiniteField, h: Poly, rows: list[Poly]) -> Poly:
+    """h^q mod f, q = F.order, as sum_j h_j rows[j], rows[j] = x^(qj) mod f."""
+    if F.degree == 1:  # plain ints, one reduction per coefficient
+        out = [0] * len(rows)
+        for c, row in zip(h, rows):
+            for j, r in enumerate(row):
+                out[j] += c * r
+        return trim([c % F.p for c in out])
+    out: Poly = ()
+    for c, row in zip(h, rows):
+        out = add(F, out, scale(F, c, row))
+    return out
+
+
 def distinct_degree(F: FiniteField, f: Poly) -> list[tuple[int, Poly]]:
-    """Split squarefree monic f into products of irreducibles of equal degree."""
+    """Split squarefree monic f into products of irreducibles of equal degree;
+    the Frobenius matrix takes one pow_mod and deg f - 2 products."""
     out = []
-    q = F.order
     h = X
     i = 0
+    rows = [(1,), pow_mod(F, X, F.order, f)]
+    while len(rows) < degree(f):
+        rows.append(mod(F, mul(F, rows[-1], rows[1]), f))
     while degree(f) >= 2 * (i + 1):
         i += 1
-        h = pow_mod(F, h, q, f)
+        h = _frobenius(F, h, rows)
         g = gcd(F, sub(F, h, X), f)
         if degree(g) > 0:
             out.append((i, g))
             f = divmod_poly(F, f, g)[0]
             h = mod(F, h, f)
+            rows = [mod(F, r, f) for r in rows[: degree(f)]]
     if degree(f) > 0:
         out.append((degree(f), f))
     return out
@@ -314,15 +338,12 @@ def _split(F: FiniteField, f: Poly, d: int) -> tuple[Poly, Poly]:
         raise DomainError("equal-degree splitting needs odd characteristic")
     n = degree(f)
     rng = random.Random(_split_seed(F, f))
-    q = F.order
     while True:
         a = _random_poly(F, rng, rng.randrange(1, n))
         if degree(a) < 1:
             continue
-        g = gcd(F, a, f)
-        if not 0 < degree(g) < n:
-            b = pow_mod(F, a, (q**d - 1) // 2, f)
-            g = gcd(F, sub(F, b, (1,)), f)
+        b = pow_mod(F, a, (F.order**d - 1) // 2, f)
+        g = gcd(F, sub(F, b, (1,)), f)
         if 0 < degree(g) < n:
             return g, divmod_poly(F, f, g)[0]
 

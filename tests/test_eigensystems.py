@@ -13,6 +13,7 @@ from heckechain.eigensystems import (
     operator_primes,
     sturm_bound,
 )
+from heckechain.images import classify_image, witness_primes
 from heckechain.lifting import IntegralClasses
 from heckechain.modsym import symbol_space
 
@@ -383,3 +384,65 @@ def test_restrict_refuses_a_basis_without_identity_rows():
     assert matrix.rref(basis, 5)[1] == 2
     with pytest.raises(DomainError, match="no identity rows"):
         eigensystems._restrict(np.eye(3, dtype=np.int64), basis, 5)
+
+
+def power_exponent(s):
+    """The least power of ell^degree >= block_dim."""
+    e = 1
+    while e < s.block_dim:
+        e *= s.ell**s.degree
+    return e
+
+
+@pytest.fixture
+def semisimple_parts(monkeypatch):
+    """Fresh decompositions whose `_semisimple_part` calls are checked
+    against the power they may skip and recorded as (system, skipped,
+    narrowing): the calls made once the character is fixed narrow it."""
+    part = Eigensystem._semisimple_part
+    calls = []
+
+    def checked(self, R, semisimple):
+        S = part(self, R, semisimple)
+        assert np.array_equal(S, matrix.matrix_power(R, power_exponent(self), self.ell))
+        calls.append((self, semisimple, bool(self._theta)))
+        return S
+
+    monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
+    monkeypatch.setattr(Eigensystem, "_semisimple_part", checked)
+    return calls
+
+
+@pytest.mark.parametrize("N, k, ell", [(389, 2, 7), (97, 4, 13)])
+def test_skipped_power_changes_no_semisimple_part(N, k, ell, semisimple_parts):
+    systems = decompose(N, k, ell)
+    for s in systems:
+        for q in s.base_primes:
+            s.a(q)
+    skipped = [s for s, skip, _ in semisimple_parts if skip]
+    assert len(skipped) == len(semisimple_parts) == sum(len(s.base_primes) for s in systems)
+    assert max(s.degree for s in skipped) == (18 if N == 389 else 11)
+
+
+def test_skipped_power_changes_no_narrowed_semisimple_part(semisimple_parts):
+    # classify 97 4 13 0..2 asks for a(q) at every witness prime, which
+    # narrows each orbit past its base primes.
+    systems = decompose(97, 4, 13)[:3]
+    for s in systems:
+        classify_image(s)
+    narrowed = [skip for _, skip, narrowing in semisimple_parts if narrowing]
+    witnesses = set(witness_primes(97, 4, 13))
+    assert len(narrowed) == sum(len(witnesses - set(s.base_primes)) for s in systems)
+    assert all(narrowed)
+
+
+@pytest.mark.parametrize("N, k, ell", [(23, 2, 5), (67, 2, 5), (49, 4, 5)])
+def test_power_is_kept_on_non_semisimple_blocks(N, k, ell, semisimple_parts):
+    blocks = [s for s in decompose(N, k, ell) if not s.semisimple]
+    assert blocks
+    for s in blocks:
+        for q in s.base_primes:
+            s.a(q)
+    assert [skip for _, skip, _ in semisimple_parts] == [False] * sum(
+        len(s.base_primes) for s in blocks
+    )

@@ -191,3 +191,11 @@ def test_hecke_accum_is_independent_of_scatter_blocks(monkeypatch, limit):
     else:
         monkeypatch.setattr(_kernels, "SCATTER_LIMIT", limit)
     assert_matches_loop(97, 4, 13, mats)
+
+
+def test_hecke_accum_refuses_a_strided_accumulator():
+    # A flat view of a strided array would be a copy, and the sums lost.
+    p1 = P1List(11)
+    acc = np.zeros((len(p1), 2 * len(p1)), dtype=np.int64)[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        hecke_accum(acc, merel(2), p1.table, p1.reps, 2, 11, 7)

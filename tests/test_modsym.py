@@ -55,6 +55,33 @@ def test_p1_index_is_scaling_invariant():
         assert p1.index(u, v) == i
 
 
+def loop_p1list(N):
+    """P^1(Z/N) by a double loop over all N^2 pairs: (reps, table)."""
+    if N == 1:
+        return np.zeros((1, 2), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    units = [t for t in range(1, N) if np_gcd(t, N) == 1]
+    table = np.full((N, N), -1, dtype=np.int64)
+    reps = []
+    for u in range(N):
+        for v in range(N):
+            if table[u, v] != -1 or np_gcd(np_gcd(u, v), N) != 1:
+                continue
+            idx = len(reps)
+            reps.append((u, v))
+            for t in units:
+                table[t * u % N, t * v % N] = idx
+    return np.array(reps, dtype=np.int64), table
+
+
+@pytest.mark.parametrize("Ns", [range(1, 151), [210, 360, 389]])
+def test_p1_row_scan_matches_double_loop(Ns):
+    for N in Ns:
+        reps, table = loop_p1list(N)
+        p1 = P1List(N)
+        assert np.array_equal(p1.reps, reps), N
+        assert np.array_equal(p1.table, table), N
+
+
 @pytest.mark.parametrize("N,k", sorted(DIMENSION_PINS))
 def test_cuspidal_dimension_pins(N, k):
     expect = DIMENSION_PINS[(N, k)]

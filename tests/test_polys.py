@@ -287,3 +287,46 @@ def test_prime_field_mul_and_division_match_convolution(p):
         assert all(0 <= c < p for c in q + r)
         qg = convolve_mod(q, g, p)
         assert polys.trim((a + b) % p for a, b in itertools.zip_longest(qg, r, fillvalue=0)) == f
+        pairs = list(itertools.zip_longest(f, g, fillvalue=0))
+        assert polys.add(F, f, g) == polys.trim(F.add(a, b) for a, b in pairs)
+        assert polys.sub(F, f, g) == polys.trim(F.sub(a, b) for a, b in pairs)
+        assert polys.neg(F, g) == tuple(F.neg(b) for b in g)
+
+
+def pow_mod_distinct_degree(F, f):
+    """Distinct-degree factorisation with one pow_mod per step."""
+    out = []
+    h = polys.X
+    i = 0
+    while polys.degree(f) >= 2 * (i + 1):
+        i += 1
+        h = polys.pow_mod(F, h, F.order, f)
+        g = polys.gcd(F, polys.sub(F, h, polys.X), f)
+        if polys.degree(g) > 0:
+            out.append((i, g))
+            f = polys.divmod_poly(F, f, g)[0]
+            h = polys.mod(F, h, f)
+    if polys.degree(f) > 0:
+        out.append((polys.degree(f), f))
+    return out
+
+
+@pytest.mark.parametrize("p, d", [(5, 1), (7, 1), (13, 1), (101, 1), (2147483647, 1), (7, 2)])
+def test_distinct_degree_matches_pow_mod_steps(p, d):
+    F = field(p, d)
+    rng = random.Random(p + d)
+    partway = 0
+    for _ in range(12):
+        # Low-degree factors times a random part, so that factors split off
+        # before the last step.
+        f = (rng.randrange(F.order), 1)
+        for _ in range(rng.randrange(0, 3)):
+            f = polys.mul(F, f, rand_poly(F, rng, rng.randrange(1, 4)))
+        f = polys.mul(F, f, rand_poly(F, rng, rng.randrange(0, 9)))
+        for g, _ in polys.squarefree_decomposition(F, f):
+            want = pow_mod_distinct_degree(F, g)
+            assert polys.distinct_degree(F, g) == want
+            # The loop runs on after the first split, on reduced rows.
+            i, first = want[0]
+            partway += len(want) > 1 and polys.degree(g) - polys.degree(first) >= 2 * (i + 1)
+    assert partway >= 3
