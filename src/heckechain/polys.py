@@ -285,11 +285,11 @@ def squarefree_decomposition(F: FiniteField, f: Poly) -> list[tuple[Poly, int]]:
 def _frobenius(F: FiniteField, h: Poly, rows: list[Poly]) -> Poly:
     """h^q mod f, q = F.order, as sum_j h_j rows[j], rows[j] = x^(qj) mod f."""
     if F.degree == 1:  # plain ints, one reduction per coefficient
-        out = [0] * len(rows)
+        acc = [0] * len(rows)
         for c, row in zip(h, rows):
             for j, r in enumerate(row):
-                out[j] += c * r
-        return trim([c % F.p for c in out])
+                acc[j] += c * r
+        return trim([c % F.p for c in acc])
     out: Poly = ()
     for c, row in zip(h, rows):
         out = add(F, out, scale(F, c, row))
