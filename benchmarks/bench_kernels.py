@@ -1,10 +1,12 @@
 """Time the public mod-p kernels and the extension-field arithmetic.
 
 Each row is the best of N calls of one kernel on a fixed input; the
+``heilbronn_matrices`` row enumerates Cremona's matrices for T_97 past the
+memo, and the ``hecke_accum`` row scatters those for T_31; the
 ``hecke_on_quotient`` row times T_q on a built space, the per-operator work
 the program does (the kernel on the source reps and the projection); the
-two ``ModularSymbolSpace`` rows build one space with the (N, k) presentation
-memoised (the work mod ell) and with the memo cleared first; a
+``ModularSymbolSpace`` rows build 67.2.13 and 389.2.7 with the (N, k)
+presentation memoised (the work mod ell) and with the memo cleared first; a
 ``FiniteField.mul`` row times a batch of 1000 multiplies of seeded random
 element pairs, the ``FiniteField.inv`` row 100 inverses of seeded random
 nonzero elements, and the ``pow_mod`` row raises a seeded degree-18 polynomial
@@ -27,7 +29,7 @@ from heckechain import _kernels, matrix, polys
 from heckechain.arith import crt_pair, primes_up_to
 from heckechain.gf import field
 from heckechain.mlt import MAX_WINDOW
-from heckechain.modsym import ModularSymbolSpace, P1List, _presentation, merel_matrices
+from heckechain.modsym import ModularSymbolSpace, P1List, _presentation, heilbronn_matrices
 
 
 def best_of(fn, repeats):
@@ -52,7 +54,7 @@ def bench_rref(repeats):
 def bench_hecke(repeats):
     N, k, ell, q = 97, 4, 13, 31
     p1 = P1List(N)
-    mats = np.array(merel_matrices(q), dtype=np.int64)
+    mats = heilbronn_matrices(q)
     n = len(p1) * (k - 1)
 
     def accum():
@@ -68,18 +70,27 @@ def bench_hecke(repeats):
     ]
 
 
+def bench_heilbronn(repeats):
+    # The memo is bypassed, so each call enumerates the set.
+    q = 97
+    count = heilbronn_matrices(q).shape[0]
+    t = best_of(lambda: heilbronn_matrices.__wrapped__(q), repeats)
+    return [(f"heilbronn_matrices q={q} ({count} mats)", t)]
+
+
 def bench_space(repeats):
-    N, k, ell = 67, 2, 13
-    _presentation(N, k)
+    rows = []
+    for N, k, ell in ((67, 2, 13), (389, 2, 7)):
+        _presentation(N, k)
 
-    def cold():
-        _presentation.cache_clear()
-        ModularSymbolSpace(N, k, ell)
+        def cold():
+            _presentation.cache_clear()
+            ModularSymbolSpace(N, k, ell)
 
-    return [
-        (f"ModularSymbolSpace {N}.{k}.{ell} presentation warm", best_of(lambda: ModularSymbolSpace(N, k, ell), repeats)),
-        (f"ModularSymbolSpace {N}.{k}.{ell} presentation cold", best_of(cold, repeats)),
-    ]
+        label = f"ModularSymbolSpace {N}.{k}.{ell} presentation"
+        rows.append((f"{label} warm", best_of(lambda: ModularSymbolSpace(N, k, ell), repeats)))
+        rows.append((f"{label} cold", best_of(cold, repeats)))
+    return rows
 
 
 def bench_sieve(repeats):
@@ -170,6 +181,7 @@ def main(argv=None):
 
     rows = (
         bench_rref(args.repeats)
+        + bench_heilbronn(args.repeats)
         + bench_hecke(args.repeats)
         + bench_space(args.repeats)
         + bench_sieve(args.repeats)

@@ -56,7 +56,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 # -- Hecke accumulation ------------------------------------------------------
 
-# Merel matrices are scattered in blocks of at most this many terms
+# Hecke matrices are scattered in blocks of at most this many terms
 # (matrices x reps x (k-1)^2), which bounds the index and value arrays held
 # at once: one pass per T_q raised the peak RSS of `orbits 389 2 7` then
 # `orbits 97 4 13` in one process from 76 to 85 MB, blocks of 2**16 terms

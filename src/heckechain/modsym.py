@@ -2,17 +2,21 @@
 
 Generators are monomial-times-coset pairs indexed by x * (k - 1) + i, where x
 runs over the projective line mod N in lexicographic representative order (one
-numpy scan per row u finds its new reps) and i is the monomial exponent. The space is the quotient by the two- and
-three-term relations, with the non-pivot (free) symbols as basis; the cuspidal
-part is the kernel of the boundary map to cusp classes on them. T_q applies
-the determinant-q Merel matrices to the source reps, the P^1 reps holding a free
-symbol, and projects the images onto the free basis (Stein, GSM 79, ch. 3, 8).
+numpy scan per row u finds its new reps) and i is the monomial exponent. The
+space is the quotient by the two- and three-term relations, with the non-pivot
+(free) symbols as basis; the cuspidal part is the kernel of the boundary map to
+cusp classes on them. T_p applies Cremona's Heilbronn matrices of determinant p
+(a set satisfying Merel's condition) to the source reps, the P^1 reps holding a
+free symbol, and projects the images onto the free basis (Stein, GSM 79, ch. 3,
+8; Cremona, Algorithms for Modular Elliptic Curves, ch. 2).
 
 The relations and the boundary map are integer data. `_presentation` builds
-them once per (N, k), with P^1 and the cusp classes, and `merel_matrices` its
-array once per q; every characteristic shares them read-only. A space does
-only the work mod ell: it reduces the relations and finds the free basis,
-the projection onto it and the kernel of the boundary map."""
+them once per (N, k), with P^1 and the cusp classes, and `heilbronn_matrices`
+its array once per p; every characteristic shares them read-only. The
+two-term relations pair each symbol with its S-partner up to sign, and the
+presentation substitutes them into the three-term rows. A space does only
+the work mod ell: it reduces those rows and finds the free basis, the
+projection onto it and the kernel of the boundary map."""
 
 from __future__ import annotations
 
@@ -27,6 +31,9 @@ from .dims import index_mu
 from .matrix import right_kernel
 
 MAX_WEIGHT = 12
+# P^1 holds an N x N int64 table. The largest |P^1| up to here, 8064 at N = 2730
+# and 2940: `space 2940 2 11` takes 3.3 s and 352 MB peak RSS on a 2-vCPU VM.
+MAX_LEVEL = 3000
 
 
 class P1List:
@@ -58,22 +65,23 @@ class P1List:
 
 
 @lru_cache(maxsize=256)
-def merel_matrices(n: int) -> np.ndarray:
-    """Integer matrices (a, b; c, d) of determinant n with a > b >= 0, d > c >= 0,
-    as the rows (a, b, c, d) of a read-only int64 array."""
-    out = []
-    for a in range(1, n + 1):
-        for b in range(a):
-            if b == 0:
-                if n % a:
-                    continue
-                d = n // a
-                out.extend((a, 0, c, d) for c in range(d))
-            else:
-                for d in range(1, (n - 1) // (a - b) + 1):
-                    num = a * d - n
-                    if num >= 0 and num % b == 0 and num // b < d:
-                        out.append((a, b, num // b, d))
+def heilbronn_matrices(p: int) -> np.ndarray:
+    """Cremona's Heilbronn matrices (a, b; c, d) of determinant p, for p
+    prime, as the rows (a, b, c, d) of a read-only int64 array: (1, 0; 0, p)
+    and, for each |r| <= p / 2, the convergent matrices of the
+    nearest-integer continued fraction of p / r (ties away from zero)."""
+    out = [(1, 0, 0, p)]
+    if p == 2:
+        out += [(2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
+    else:
+        for r in range(-(p // 2), p // 2 + 1):
+            x1, x2, y1, y2, a, b = p, -r, 0, 1, -p, r
+            out.append((x1, x2, y1, y2))
+            while b:
+                q = (2 * abs(a) + abs(b)) // (2 * abs(b)) * (1 if a * b > 0 else -1)
+                a, b = -b, a - b * q
+                x1, x2, y1, y2 = x2, q * x2 - x1, y2, q * y2 - y1
+                out.append((x1, x2, y1, y2))
     mats = np.array(out, dtype=np.int64)
     mats.setflags(write=False)
     return mats
@@ -117,6 +125,8 @@ def validate_level_weight(N: int, k: int) -> None:
     characteristic."""
     if N < 1:
         raise DomainError("level must be a positive integer")
+    if N > MAX_LEVEL:
+        raise DomainError(f"level above supported bound {MAX_LEVEL}")
     if k < 2 or k % 2:
         raise DomainError("weight must be even and at least 2")
     if k > MAX_WEIGHT:
@@ -140,16 +150,24 @@ def validate_space(N: int, k: int, ell: int) -> None:
 class Presentation:
     """The characteristic-free data of weight k for Gamma0(N): P^1, the
     relation rows and the boundary map as read-only (row, column, value)
-    integer triples, and the cusp classes."""
+    integer triples, and the cusp classes.
+
+    The two-term relation of symbol c = x * w + i is e_c + s e_p = 0, with
+    S-partner p = xs * w + (k - 2 - i) and s = (-1)^i. The relation rows are
+    the three-term rows with e_c = coeff * e_p, coeff = -s, put in for the
+    smaller symbol of each pair (`small`, `partner`, `coeff`). A symbol that
+    is its own partner is zero if s = 1 (ell is odd) and free of the pair
+    otherwise. The rows' columns are `kept`, the symbols left; as none
+    precedes its partner, the free symbols are those of the full relations."""
 
     def __init__(self, N: int, k: int):
         self.p1 = p1 = P1List(N)
         kk, w = k - 2, k - 1
         rel: list[tuple[int, int, int]] = []
         bnd: list[tuple[int, int, int]] = []
-        seen_s: set[int] = set()
         seen_st: set[int] = set()
         cusp_reps: list[tuple[int, int]] = []
+        xs_of = np.empty(len(p1), dtype=np.int64)
 
         def cusp_class(a: int, c: int) -> int:
             cu = _cusp_normalize(a, c)
@@ -162,14 +180,9 @@ class Presentation:
         row = 0
         for x in range(len(p1)):
             c, d = (int(v) for v in p1.reps[x])
-            xs, xt, xt2 = p1.index(d, -c), p1.index(d, -c - d), p1.index(-c - d, c)
-            # One block per S-orbit and per ST-orbit: the blocks of the other
-            # points of an orbit are multiples or repeats of these rows.
-            if x not in seen_s:
-                seen_s.update((x, xs))
-                for i in range(w):
-                    rel += [(row, x * w + i, 1), (row, xs * w + (kk - i), (-1) ** i)]
-                    row += 1
+            xs_of[x], xt, xt2 = p1.index(d, -c), p1.index(d, -c - d), p1.index(-c - d, c)
+            # One block per ST-orbit: the blocks of the other points of an
+            # orbit are repeats of these rows.
             if x not in seen_st:
                 seen_st.update((x, xt, xt2))
                 for i in range(w):
@@ -184,11 +197,22 @@ class Presentation:
             a, b = s, -t
             assert a * dl - b * cl == 1
             bnd += [(cusp_class(a, cl), x * w + kk, 1), (cusp_class(b, dl), x * w, -1)]
+        col = np.arange(len(p1) * w)
+        partner = (xs_of[:, None] * w + kk - np.arange(w)).ravel()
+        sign = np.tile(1 - 2 * (np.arange(w) % 2), len(p1))
+        coeff = np.where(partner > col, -sign, np.where(partner == col, (1 - sign) // 2, 1))
+        self.small = np.flatnonzero(partner > col)
+        self.partner, self.coeff = partner[self.small], coeff[self.small]
+        self.kept = np.flatnonzero((partner <= col) & (coeff != 0))
+        triples = np.array(rel, dtype=np.int64)
+        tr, tc, tv = triples[coeff[triples[:, 1]] != 0].T
+        target = np.searchsorted(self.kept, np.maximum(partner, col)[tc])
         self.n_relations = row
-        self.relations = np.array(rel, dtype=np.int64)
+        self.relations = np.column_stack((tr, target, tv * coeff[tc]))
         self.boundary = np.array(bnd, dtype=np.int64)
         self.cusp_classes = tuple(cusp_reps)
-        for a in (p1.reps, p1.table, self.relations, self.boundary):
+        for a in (p1.reps, p1.table, self.relations, self.boundary, self.small, self.partner,
+                  self.coeff, self.kept):
             a.setflags(write=False)
 
 
@@ -212,10 +236,15 @@ class ModularSymbolSpace:
         self.n_symbols = D = len(self.p1) * (k - 1)
         self._hecke: dict[int, np.ndarray] = {}
         # The projection onto the free symbols is the transposed kernel of
-        # the relations: identity on the free columns, -Rref^T on the pivots.
-        K, self._free = right_kernel(_scatter(pres.relations, pres.n_relations, D, ell), ell)
-        self._proj = K.T.copy()
-        self.dim = len(self._free)
+        # the relations: on the kept symbols that of the substituted rows
+        # (identity on the free columns, -Rref^T on the pivots), and on each
+        # substituted symbol coeff times its partner's.
+        K, free = right_kernel(_scatter(pres.relations, pres.n_relations, pres.kept.size, ell), ell)
+        self._free = pres.kept[free].tolist()
+        self._proj = np.zeros((len(free), D), dtype=np.int64)
+        self._proj[:, pres.kept] = K.T
+        self._proj[:, pres.small] = self._proj[:, pres.partner] * pres.coeff % ell
+        self.dim = len(free)
         w = k - 1
         sources = sorted({f // w for f in self._free})
         self._source_reps = self.p1.reps[sources]
@@ -239,7 +268,7 @@ class ModularSymbolSpace:
         if self.N % q == 0:
             raise DomainError("hecke operator at a prime dividing the level")
         A = np.zeros((self.n_symbols, self._source_reps.shape[0] * (self.k - 1)), dtype=np.int64)
-        hecke_accum(A, merel_matrices(q), self.p1.table, self._source_reps, self.k, self.N, self.ell)
+        hecke_accum(A, heilbronn_matrices(q), self.p1.table, self._source_reps, self.k, self.N, self.ell)
         return matmul_mod(self._proj, A[:, self._source_cols], self.ell)
 
     def hecke_matrix(self, q: int) -> np.ndarray:

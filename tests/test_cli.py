@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from heckechain import cli, graph, planner
+from heckechain import cli, graph, modsym, planner
+from heckechain.modsym import MAX_LEVEL
 
 DESCRIPTORS = Path(__file__).parent / "golden"
 
@@ -163,6 +164,27 @@ def test_lmax_above_ceiling_is_refused_before_listing_primes(capsys, monkeypatch
     code, out, err = run(capsys, *argv, "--lmax", str(graph.MAX_LMAX + 1))
     assert (code, out) == (1, "")
     assert err == f"error: lmax above supported ceiling {graph.MAX_LMAX}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("space", MAX_LEVEL + 1, "2", "5"),
+        ("orbits", MAX_LEVEL + 1, "2", "5"),
+        ("graph", MAX_LEVEL + 1, "2", "--lmax", "13"),
+        ("space", 2147483647, "2", "5"),
+    ],
+    ids=["space", "orbits", "graph", "space-2147483647"],
+)
+def test_level_above_ceiling_is_refused_before_building_p1(capsys, monkeypatch, argv):
+    def refuse(N):
+        raise AssertionError(f"P1List({N}) built")
+
+    monkeypatch.setattr(modsym, "P1List", refuse)
+    command, N, *rest = argv
+    code, out, err = run(capsys, command, str(N), *rest)
+    assert (code, out) == (1, "")
+    assert err == f"error: level above supported bound {MAX_LEVEL}\n"
 
 
 def test_plan_and_connect_from_descriptor_files(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from heckechain import _kernels
 from heckechain._kernels import hecke_accum, rref_mod, sieve_scan
-from heckechain.modsym import P1List, merel_matrices
+from heckechain.modsym import P1List, heilbronn_matrices
 
 
 def reference_rref(a, p):
@@ -137,8 +137,24 @@ def loop_hecke_accum(acc, mats, tbl, reps, k, N, ell):
             ) % ell
 
 
-def merel(q):
-    return np.array(merel_matrices(q), dtype=np.int64)
+def merel(n):
+    """Merel's matrices (a, b; c, d) of determinant n with a > b >= 0,
+    d > c >= 0, as rows (a, b, c, d): the oracle for T_n that
+    `modsym.heilbronn_matrices` replaces."""
+    out = []
+    for a in range(1, n + 1):
+        for b in range(a):
+            if b == 0:
+                if n % a:
+                    continue
+                d = n // a
+                out.extend((a, 0, c, d) for c in range(d))
+            else:
+                for d in range(1, (n - 1) // (a - b) + 1):
+                    num = a * d - n
+                    if num >= 0 and num % b == 0 and num // b < d:
+                        out.append((a, b, num // b, d))
+    return np.array(out, dtype=np.int64)
 
 
 def signed_matrices(q):
@@ -169,6 +185,8 @@ def assert_matches_loop(N, k, ell, mats, sources=None):
         (37, 6, 101, 7, merel),
         (5, 12, 11, 13, merel),
         (1, 12, 13, 5, merel),
+        (11, 2, 7, 43, heilbronn_matrices),
+        (37, 6, 101, 7, heilbronn_matrices),
         (15, 4, 7, 3, signed_matrices),
     ],
 )

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from heckechain._kernels import hecke_accum, matmul_mod
-from heckechain.arith import DomainError
+from heckechain.arith import DomainError, primes_up_to
 from heckechain.dims import dim_cusp_forms
+from heckechain.images import witness_bound
 from heckechain.modsym import (
+    MAX_LEVEL,
     MAX_WEIGHT,
     ModularSymbolSpace,
     P1List,
-    merel_matrices,
     _presentation,
+    heilbronn_matrices,
     symbol_space,
     validate_space,
 )
+from test_kernels import merel
 
 # Cusp form dimensions from the standard genus/dimension formulas; the
 # cuspidal modular symbol space is twice as large.
@@ -109,6 +112,8 @@ def is_prime_py(n):
 def test_validation_messages():
     with pytest.raises(DomainError, match="level must be a positive integer"):
         validate_space(0, 2, 5)
+    with pytest.raises(DomainError, match=f"level above supported bound {MAX_LEVEL}"):
+        validate_space(MAX_LEVEL + 1, 2, 5)
     with pytest.raises(DomainError, match="weight must be even and at least 2"):
         validate_space(11, 3, 5)
     with pytest.raises(DomainError, match=f"weight above supported bound {MAX_WEIGHT}"):
@@ -161,8 +166,7 @@ def test_hecke_on_quotient_matches_full_action(N, k, ell, q):
     sp = symbol_space(N, k, ell)
     D = sp.n_symbols
     A = np.zeros((D, D), dtype=np.int64)
-    mats = np.array(merel_matrices(q), dtype=np.int64)
-    hecke_accum(A, mats, sp.p1.table, sp.p1.reps, k, N, ell)
+    hecke_accum(A, merel(q), sp.p1.table, sp.p1.reps, k, N, ell)
     lift = np.zeros((D, sp.dim), dtype=np.int64)
     lift[sp._free, np.arange(sp.dim)] = 1
     want = matmul_mod(matmul_mod(sp._proj, A, ell), lift, ell)
@@ -263,7 +267,7 @@ def reference_hecke(p1, free, proj, basis, N, k, ell, q):
 
     D = proj.shape[1]
     A = np.zeros((D, D), dtype=np.int64)
-    hecke_accum(A, np.array(merel_matrices(q)), p1.table, p1.reps, k, N, ell)
+    hecke_accum(A, merel(q), p1.table, p1.reps, k, N, ell)
     lift = np.zeros((D, len(free)), dtype=np.int64)
     lift[free, np.arange(len(free))] = 1
     M = matmul_mod(matmul_mod(proj, A, ell), lift, ell)
@@ -280,9 +284,15 @@ def reference_hecke(p1, free, proj, basis, N, k, ell, q):
         (67, 2, (5, 7, 13)),
         (97, 4, (5, 7, 13)),
         (5, 12, (11, 13, 17)),
+        (13, 6, (5, 7, 11)),
+        (10, 2, (7, 11, 13)),
+        (5, 4, (7, 11, 13)),
+        (7, 2, (5, 11, 13)),
     ],
 )
 def test_presentation_matches_dense_construction(N, k, ells):
+    if (N, k) in FIXED_POINT_PREMISES:
+        assert fixed_point_counts(N, k) == FIXED_POINT_PREMISES[(N, k)]
     for ell in ells:
         sp = ModularSymbolSpace(N, k, ell)
         p1, free, proj, cusps, basis = reference_space(N, k, ell)
@@ -293,6 +303,58 @@ def test_presentation_matches_dense_construction(N, k, ells):
         for q in [q for q in (2, 3, 7, 13) if N % q]:
             want = reference_hecke(p1, free, proj, basis, N, k, ell, q)
             assert np.array_equal(sp.hecke_matrix(q), want), (ell, q)
+
+
+# (killed middle symbols, unconstrained middle symbols, ST-fixed points of
+# P^1) of the cases added to the dense comparison for their fixed points.
+# The middle symbol of an S-fixed point is killed at k = 2, 6, 10 and
+# unconstrained at k = 4, 8, 12; -1 is a square mod 13, 10 and 5, and -3 one
+# mod 13 and 7.
+FIXED_POINT_PREMISES = {(13, 6): (2, 0, 2), (10, 2): (2, 0, 0), (5, 4): (0, 2, 0), (7, 2): (0, 0, 2)}
+
+
+def fixed_point_counts(N, k):
+    pres = _presentation(N, k)
+    p1, w = pres.p1, k - 1
+    D = len(p1) * w
+    killed = D - pres.kept.size - pres.small.size
+    # The pairs of distinct symbols hold 2 * #small columns; the rest are
+    # their own S-partners, killed or unconstrained.
+    unconstrained = D - 2 * pres.small.size - killed
+    st_fixed = sum(p1.index(d, -c - d) == x for x, (c, d) in enumerate(p1.reps.tolist()))
+    return killed, unconstrained, st_fixed
+
+
+def test_heilbronn_matrices_count_and_determinant():
+    # Cremona's set is 2.2-3 times smaller than Merel's at these primes.
+    for p, count, merel_count in [(2, 4, 4), (3, 6, 7), (43, 154, 345), (97, 392, 1039)]:
+        mats = heilbronn_matrices(p)
+        assert mats.shape == (count, 4)
+        assert len(merel(p)) == merel_count
+        a, b, c, d = mats.T
+        assert set((a * d - b * c).tolist()) == {p}
+
+
+# T_q from Cremona's matrices against T_q from Merel's on the full quotient,
+# at every prime q up to the classify witness bound: every weight at N = 1, 5,
+# 13 and 37, and at 97 and 389 where the Merel sets stay small. 97.12 and
+# 389.4 stop at q = 23, and 389 at k >= 6 is left out: its Merel scatter takes
+# 3 s at k = 8 for q <= 7 alone, and at 389.12 the whole range would take
+# 6.8e9 terms.
+HEILBRONN_CASES = [(N, k, witness_bound(N, k)) for N in (1, 5, 13, 37) for k in (2, 4, 6, 8, 12)]
+HEILBRONN_CASES += [(97, k, witness_bound(97, k)) for k in (2, 4, 6, 8)]
+HEILBRONN_CASES += [(389, 2, witness_bound(389, 2)), (97, 12, 23), (389, 4, 23)]
+
+
+@pytest.mark.parametrize("N, k, bound", HEILBRONN_CASES)
+def test_heilbronn_matrices_give_the_merel_hecke_operators(N, k, bound):
+    ell = pick_characteristics(N, k, 1)[0]
+    sp = symbol_space(N, k, ell)
+    for q in (q for q in primes_up_to(bound) if N % q):
+        A = np.zeros((sp.n_symbols, sp._source_reps.shape[0] * (k - 1)), dtype=np.int64)
+        hecke_accum(A, merel(q), sp.p1.table, sp._source_reps, k, N, ell)
+        want = matmul_mod(sp._proj, A[:, sp._source_cols], ell)
+        assert np.array_equal(sp.hecke_on_quotient(q), want), q
 
 
 def test_hecke_matrix_rejects_an_operator_leaving_the_cuspidal_space(monkeypatch):
@@ -309,13 +371,14 @@ def test_hecke_matrix_rejects_an_operator_leaving_the_cuspidal_space(monkeypatch
 
 def test_presentation_is_shared_read_only_and_bounded():
     assert _presentation.cache_info().maxsize is not None
-    assert merel_matrices.cache_info().maxsize is not None
+    assert heilbronn_matrices.cache_info().maxsize is not None
     _presentation.cache_clear()
     a, b = ModularSymbolSpace(37, 2, 5), ModularSymbolSpace(37, 2, 11)
     pres = _presentation(37, 2)
     assert a.p1 is b.p1 is pres.p1
     assert _presentation.cache_info().misses == 1
-    arrays = [pres.p1.reps, pres.p1.table, pres.relations, pres.boundary, merel_matrices(5)]
+    arrays = [pres.p1.reps, pres.p1.table, pres.relations, pres.boundary, heilbronn_matrices(5)]
+    arrays += [pres.small, pres.partner, pres.coeff, pres.kept]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1
+            arr[(0,) * arr.ndim] = 1
