@@ -21,7 +21,7 @@ from heckechain import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = [
-    *[["graph", str(N), "2", "--lmax", "50"] for N in (11, 22, 33, 37, 44, 57, 67, 114, 124, 131)],
+    *[["graph", str(N), "2", "--lmax", "50"] for N in (11, 22, 33, 37, 44, 57, 67, 96, 114, 124, 131)],
     ["congruences", "1", "12", "11", "2", "--lmax", "13"],
     ["congruences", "5", "4", "7", "4", "--lmax", "13"],
     ["congruences", "3", "6", "2", "8", "--lmax", "13"],
@@ -39,6 +39,8 @@ COMMANDS = [
     ["orbits", "11", "10", "101"],
     ["orbits", "97", "2", "11"],
     ["orbits", "49", "4", "5"],
+    ["orbits", "48", "2", "11"],
+    ["orbits", "30", "4", "7"],
     ["plan", "delta.json", "--bound", "10"],
     ["plan", "messy.json", "--bound", "20"],
     ["connect", "delta.json", "messy.json", "--bound", "20"],
