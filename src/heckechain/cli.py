@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import DomainError
 from .congruence import space_congruences, weight_compatible
 from .dims import dim_cusp_forms, dim_new
-from .eigensystems import decompose, operator_primes, sturm_bound
+from .eigensystems import decompose, old_flags, operator_primes, sturm_bound
 from .graph import chain_graph, characteristics, mazur_report
 from .images import ImageClass, classify_image, is_adequate
 from .mlt import EdgeContext, all_verdicts, best_verdict, find_good_dihedral
@@ -98,7 +99,7 @@ def _payload_orbits(args) -> dict:
     systems = decompose(N, k, ell)
     qs = operator_primes(N, k, ell)
     orbits = []
-    for s in systems:
+    for s, old in zip(systems, old_flags(N, k, ell)):
         F = s.field
         orbits.append(
             {
@@ -106,7 +107,7 @@ def _payload_orbits(args) -> dict:
                 "degree": s.degree,
                 "multiplicity": s.multiplicity,
                 "semisimple": s.semisimple,
-                "old": s.is_old,
+                "old": old,
                 "eigen": {str(q): [int(c) for c in F.decode(s.a(q))] for q in qs},
             }
         )
@@ -593,7 +594,12 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(output)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # The reader is gone; the flush at exit would raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

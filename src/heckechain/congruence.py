@@ -18,6 +18,7 @@ from .arith import DomainError, primes_up_to
 from .eigensystems import decompose, sturm_bound
 from .gf import field
 from .lifting import integral_classes, reduce_class_mod
+from .modsym import validate_space
 
 
 def cross_bound(N1: int, k1: int, N2: int, k2: int) -> int:
@@ -95,13 +96,11 @@ def scan_congruences(systems_a, systems_b, ell: int) -> list[CongruenceEdge]:
     """Certified congruences between two orbit lists at one characteristic.
 
     Weight-incompatible inputs yield no edges rather than an error; a scan is
-    a survey, not an assertion that a comparison must exist.  When both lists
-    are the same object, each unordered pair is checked once, in list order.
+    a survey, not an assertion that a comparison must exist.
     """
-    pairs = combinations(systems_a, 2) if systems_a is systems_b else product(systems_a, systems_b)
     edges = []
-    for sa, sb in pairs:
-        if sa is sb or not weight_compatible(sa.k, sb.k, ell):
+    for sa, sb in product(systems_a, systems_b):
+        if not weight_compatible(sa.k, sb.k, ell):
             continue
         edge = check_congruence(sa, sb)
         if edge.certified:
@@ -129,16 +128,22 @@ def space_congruences(N1: int, k1: int, N2: int, k2: int, ell: int):
     """Certified congruences mod ell between the systems of two spaces, with
     the route that found them.
 
-    The "direct" route compares the mod-ell orbits.  Where a space is out of
-    domain at ell (ell dividing a level, ...), the "reduced" route compares
-    the reductions of the rational integral classes instead; at 2 and 3 the
-    direct route's error stands.
+    The "direct" route compares the mod-ell orbits of two different spaces.
+    It cannot relate two orbits of one space: `decompose` has already put
+    two systems that differ at an operator prime into different blocks.  So
+    a space compared with itself, and a space out of domain at ell (ell
+    dividing a level, ...), take the "reduced" route, which compares the
+    reductions of the rational integral classes, each unordered pair once;
+    at 2 and 3 the direct route's error stands.
     """
-    try:
-        return "direct", scan_congruences(decompose(N1, k1, ell), decompose(N2, k2, ell), ell)
-    except DomainError:
-        if ell in (2, 3):
-            raise
+    if (N1, k1) != (N2, k2):
+        try:
+            return "direct", scan_congruences(decompose(N1, k1, ell), decompose(N2, k2, ell), ell)
+        except DomainError:
+            if ell in (2, 3):
+                raise
+    elif ell in (2, 3):
+        validate_space(N1, k1, ell)
     left = integral_classes(N1, k1).classes
     right = integral_classes(N2, k2).classes
     pairs = combinations(left, 2) if (N1, k1) == (N2, k2) else product(left, right)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import polys
 from ._kernels import matmul_mod
-from .arith import DomainError, divisors, is_prime, primes_up_to
+from .arith import DomainError, factorize, is_prime, primes_up_to
 from .dims import index_mu
 from .gf import FiniteField, field
 from .matrix import (
@@ -29,6 +29,7 @@ from .matrix import (
     charpoly_mod,
     matrix_power,
     poly_of_matrix,
+    restrict,
     right_kernel,
     solve_columns,
 )
@@ -81,7 +82,6 @@ class Eigensystem:
         self.multiplicity = self.block_dim // (2 * self.degree)
         self.base_primes = list(minpolys)
         self.index = -1
-        self.is_old = False
         self._basis = block_basis
         self._minpolys = dict(minpolys)
         self._eigen: dict[int, int] = {}
@@ -100,7 +100,7 @@ class Eigensystem:
     def _semisimple_at(self) -> dict[int, bool]:
         """Whether each base prime's minimal polynomial kills T_p on the block."""
         ell, basis = self.ell, self._basis
-        restricted = ((q, _restrict(self._hecke_matrix(q), basis, ell)) for q in self.base_primes)
+        restricted = ((q, restrict(self._hecke_matrix(q), basis, ell)) for q in self.base_primes)
         return {q: not poly_of_matrix(self._minpolys[q], R, ell).any() for q, R in restricted}
 
     @property
@@ -113,10 +113,9 @@ class Eigensystem:
         return f"{self.N}.{self.k}.{self.index}"
 
     def __repr__(self) -> str:
-        kind = "old" if self.is_old else "new"
         return (
             f"Eigensystem({self.label}, ell={self.ell}, degree={self.degree}, "
-            f"mult={self.multiplicity}, {kind})"
+            f"mult={self.multiplicity})"
         )
 
     # -- eigenvalues ---------------------------------------------------------
@@ -170,7 +169,7 @@ class Eigensystem:
     def _character(self) -> None:
         """Base-prime values at the conjugate of theta whose tuple is least."""
         ell, d = self.ell, self.degree
-        restricted = ((p, _restrict(self._hecke_matrix(p), self._W, ell)) for p in self.base_primes)
+        restricted = ((p, restrict(self._hecke_matrix(p), self._W, ell)) for p in self.base_primes)
         S = {p: self._semisimple_part(R, self._semisimple_at[p]) for p, R in restricted}
         g = next((p for p in S if polys.degree(self._minpolys[p]) == d), None)
         if d == 1:
@@ -193,7 +192,7 @@ class Eigensystem:
         """a(q) on the piece of W, split by the semisimple part at q, where
         the character takes its smallest value; W becomes that piece."""
         ell, Fl = self.ell, field(self.ell)
-        R = _restrict(self._hecke_matrix(q), self._W, ell)
+        R = restrict(self._hecke_matrix(q), self._W, ell)
         # R^e has R's charpoly: x -> x^e permutes the roots of each factor.
         fac = polys.factor(Fl, charpoly_mod(R, ell))
         radical = reduce(partial(polys.mul, Fl), (f for f, _ in fac))
@@ -206,7 +205,7 @@ class Eigensystem:
                 continue  # its eigenvalues lie outside the field
             T, S_P = self._T, S
             if P is not None:
-                T, S_P = _restrict(T, P, ell), _restrict(S, P, ell)
+                T, S_P = restrict(T, P, ell), restrict(S, P, ell)
             g = _in_powers(T, [S_P], self.degree, ell)
             found.append((apply_np_to_gvecs(g, [self._theta], self.field)[0][0], P, T))
         if not found:
@@ -231,22 +230,6 @@ def _in_powers(T: np.ndarray, S: list[np.ndarray], d: int, ell: int) -> np.ndarr
         raise DomainError("the block's Hecke algebra is not generated by one operator") from exc
 
 
-def _restrict(M: np.ndarray, basis: np.ndarray, ell: int) -> np.ndarray:
-    """M restricted to the invariant span of basis's columns over F_ell, read
-    off rows where basis is I and proved by one product.  Every basis has such
-    rows: `decompose` starts from eye(n), `right_kernel` gives K[free] = I, and
-    basis @ ker (or W @ P in `_narrow`) keeps them at rows_basis[free_ker]."""
-    X = matmul_mod(M, basis, ell)
-    unit = np.flatnonzero((np.count_nonzero(basis, axis=1) == 1) & (basis.sum(axis=1) == 1))
-    cols, first = np.unique(basis[unit].argmax(axis=1), return_index=True)
-    if len(cols) != basis.shape[1]:
-        raise DomainError("block basis has no identity rows")
-    R = X[unit[first]]
-    if not np.array_equal(matmul_mod(basis, R, ell), X):
-        raise DomainError("linear system is inconsistent")
-    return R
-
-
 def _split_block(R: np.ndarray, fac, ell: int) -> list[tuple[np.ndarray, polys.Poly]]:
     """The generalized eigenspace of R for each factor f^mult of its charpoly,
     as kernel columns of f(R)^mult in R's coordinates, with f."""
@@ -261,19 +244,42 @@ def _split_block(R: np.ndarray, fac, ell: int) -> list[tuple[np.ndarray, polys.P
 
 def _block_factors(M: np.ndarray, basis: np.ndarray, ell: int):
     """The restriction of M to the block and the factorisation of its charpoly."""
-    R = _restrict(M, basis, ell)
+    R = restrict(M, basis, ell)
     return R, polys.factor(field(ell), charpoly_mod(R, ell))
+
+
+def _refine(space: ModularSymbolSpace, blocks, qs: list[int]) -> list:
+    """Split each (basis, minpolys) block by the operators at qs into the
+    generalized eigenspaces of its charpoly's factors; a piece carries the
+    minimal polynomial of every operator so far.  A prime the block already
+    carries is skipped."""
+    ell = space.ell
+    for q in qs:
+        nxt = []
+        for basis, minpolys in blocks:
+            if q in minpolys:
+                nxt.append((basis, minpolys))
+                continue
+            R, fac = _block_factors(space.hecke_matrix(q), basis, ell)
+            if len(fac) == 1:
+                nxt.append((basis, {**minpolys, q: fac[0][0]}))
+                continue
+            for ker, f in _split_block(R, fac, ell):
+                nxt.append((matmul_mod(basis, ker, ell), {**minpolys, q: f}))
+        blocks = nxt
+    return blocks
 
 
 _DECOMPOSE_CACHE: dict[tuple[int, int, int], list[Eigensystem]] = {}
 
 
 def decompose(N: int, k: int, ell: int) -> list[Eigensystem]:
-    """All eigenvalue-system orbits on the cuspidal space, canonically ordered.
+    """All eigenvalue-system orbits on the cuspidal space at this one level,
+    old and new alike, canonically ordered.
 
-    Old orbits (matching a system at a proper divisor level) are included and
-    flagged. Ordering is by orbit degree, then by the minimal polynomial
-    tuples at the base primes; indices follow that order.
+    Ordering is by orbit degree, then by the minimal polynomial tuples at the
+    base primes; indices follow that order.  `old_flags` tells the orbits
+    apart.
     """
     key = (N, k, ell)
     if key in _DECOMPOSE_CACHE:
@@ -281,40 +287,27 @@ def decompose(N: int, k: int, ell: int) -> list[Eigensystem]:
     space = symbol_space(N, k, ell)
     qs = operator_primes(N, k, ell)
     n = space.cuspidal_dim
-    # Each block carries the minimal polynomial of every operator so far.
-    blocks = [(np.eye(n, dtype=np.int64), {})] if n else []
-    for q in qs:
-        M = space.hecke_matrix(q)
-        nxt = []
-        for basis, minpolys in blocks:
-            R, fac = _block_factors(M, basis, ell)
-            if len(fac) == 1:
-                nxt.append((basis, {**minpolys, q: fac[0][0]}))
-                continue
-            for ker, f in _split_block(R, fac, ell):
-                nxt.append((matmul_mod(basis, ker, ell), {**minpolys, q: f}))
-        blocks = nxt
+    blocks = _refine(space, [(np.eye(n, dtype=np.int64), {})] if n else [], qs)
     systems = [Eigensystem(space, basis, minpolys) for basis, minpolys in blocks]
     systems.sort(key=lambda s: (s.degree, [s._minpolys[q] for q in qs]))
     for i, s in enumerate(systems):
         s.index = i
-    _mark_old(systems, N, k, ell, qs)
     _DECOMPOSE_CACHE[key] = systems
     return systems
 
 
-def _mark_old(systems: list[Eigensystem], N: int, k: int, ell: int, qs: list[int]) -> None:
-    if N == 1 or not systems:
-        return
-    old_keys = set()
-    for M in divisors(N):
-        if M == N:
-            continue
-        for sub in decompose(M, k, ell):
-            old_keys.add(tuple(sub.min_poly(q) for q in qs))
-    for s in systems:
-        if tuple(s._minpolys[q] for q in qs) in old_keys:
-            s.is_old = True
+def old_flags(N: int, k: int, ell: int) -> list[bool]:
+    """Whether each orbit of `decompose(N, k, ell)` is old: its minimal
+    polynomials at every operator prime of N equal those of a block at some
+    level N/p, p | N, refined by the same primes.  The oldforms of every
+    proper divisor of N lie at some N/p (Atkin-Lehner 1970)."""
+    qs = operator_primes(N, k, ell)
+    old = set()
+    for p in factorize(N):
+        blocks = [(s._basis, s._minpolys) for s in decompose(N // p, k, ell)]
+        blocks = _refine(symbol_space(N // p, k, ell), blocks, qs)
+        old.update(tuple(minpolys[q] for q in qs) for _, minpolys in blocks)
+    return [tuple(s._minpolys[q] for q in qs) in old for s in decompose(N, k, ell)]
 
 
 def charpoly_halved(N: int, k: int, ell: int, q: int) -> polys.Poly:

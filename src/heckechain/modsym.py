@@ -28,7 +28,7 @@ import numpy as np
 from ._kernels import hecke_accum, matmul_mod
 from .arith import DomainError, ext_gcd, inv_mod, is_prime
 from .dims import index_mu
-from .matrix import right_kernel
+from .matrix import restrict, right_kernel
 
 MAX_WEIGHT = 12
 # P^1 holds an N x N int64 table. The largest |P^1| up to here, 8064 at N = 2730
@@ -252,9 +252,7 @@ class ModularSymbolSpace:
         self._source_cols = [sources.index(f // w) * w + f % w for f in self._free]
         self.cusp_classes = list(pres.cusp_classes)
         self._boundary = _scatter(pres.boundary, len(self.cusp_classes), D, ell)
-        # The basis has identity rows at _cusp_rows, the free columns of the
-        # boundary's rref.
-        self.cuspidal_basis, self._cusp_rows = right_kernel(self._boundary[:, self._free], ell)
+        self.cuspidal_basis, _ = right_kernel(self._boundary[:, self._free], ell)
         self.cuspidal_dim = self.cuspidal_basis.shape[1]
 
     def __repr__(self) -> str:
@@ -274,12 +272,7 @@ class ModularSymbolSpace:
     def hecke_matrix(self, q: int) -> np.ndarray:
         """T_q restricted to the cuspidal subspace, in its basis."""
         if q not in self._hecke:
-            basis = self.cuspidal_basis
-            image = matmul_mod(self.hecke_on_quotient(q), basis, self.ell)
-            X = image[self._cusp_rows]
-            if not np.array_equal(matmul_mod(basis, X, self.ell), image):
-                raise DomainError("linear system is inconsistent")
-            self._hecke[q] = X
+            self._hecke[q] = restrict(self.hecke_on_quotient(q), self.cuspidal_basis, self.ell)
         return self._hecke[q]
 
 

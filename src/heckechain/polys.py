@@ -218,13 +218,6 @@ def pow_mod(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
     return result
 
 
-def evaluate(F: FiniteField, f: Poly, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def derivative(F: FiniteField, f: Poly) -> Poly:
     return trim(F.mul(F.from_int(i), f[i]) for i in range(1, len(f)))
 

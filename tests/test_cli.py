@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from heckechain import cli, graph, modsym, planner
+from heckechain.dims import dim_cusp_forms
 from heckechain.modsym import MAX_LEVEL
 
 DESCRIPTORS = Path(__file__).parent / "golden"
@@ -58,6 +63,33 @@ def test_orbits_lists_eigenvalues(capsys):
     assert code == 0
     assert "23.2.0" in out
     assert "a[2]=" in out
+
+
+@pytest.mark.parametrize("N, k, ell", [(96, 2, 11), (28, 4, 5), (12, 6, 5)])
+def test_orbits_where_a_divisor_block_splits_later(capsys, N, k, ell):
+    code, out, err = run(capsys, "orbits", str(N), str(k), str(ell))
+    assert (code, err) == (0, "")
+    orbits = re.findall(r"degree=(\d+) multiplicity=(\d+) semisimple=\w+ (old|new)", out)
+    assert sum(int(d) * int(m) for d, m, _ in orbits) == dim_cusp_forms(N, k)
+    assert "old" in [kind for *_, kind in orbits]
+
+
+def test_closed_stdout_ends_without_traceback():
+    # The read end is closed before the child starts, so its first write
+    # meets a closed pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("HECKECHAIN_CACHE_DIR", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "heckechain.cli", "orbits", "67", "2", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"Exception" not in proc.stderr
 
 
 def test_classify_rejects_bad_index(capsys):

@@ -7,6 +7,7 @@ from heckechain.congruence import (
     comparison_primes,
     cross_bound,
     scan_congruences,
+    space_congruences,
     weight_compatible,
 )
 from heckechain.eigensystems import decompose
@@ -97,10 +98,10 @@ def test_comparison_primes_skip_levels_and_characteristic():
 
 
 def test_scan_finds_mod_5_collision_pair():
-    # Level 23's conjugate pair collapses mod 5 into one orbit; scanning a
-    # space against itself must not report self-edges.
-    systems = decompose(23, 2, 5)
-    assert scan_congruences(systems, systems, 5) == []
+    # Level 23's conjugate pair collapses mod 5 into one orbit; comparing
+    # the space with itself reports no self-edge.
+    assert len(decompose(23, 2, 5)) == 1
+    assert space_congruences(23, 2, 23, 2, 5) == ("reduced", [])
 
 
 def test_scan_cross_level_certified_edge():
@@ -120,11 +121,14 @@ def test_higher_degree_congruence_uses_embeddings():
     assert edge.certified
 
 
+# A space compared with itself takes the reduced route at 5, 7, 11 and 13:
+# one check per unordered pair of its rational classes, two at 37.2 and three
+# at 14.4.
 @pytest.mark.parametrize(
     "argv, calls",
     [
         (["congruences", "37", "2", "37", "2", "--lmax", "13"], 4),
-        (["congruences", "14", "4", "14", "4", "--lmax", "13"], 9),
+        (["congruences", "14", "4", "14", "4", "--lmax", "13"], 12),
     ],
 )
 def test_same_space_scan_checks_each_pair_once(argv, calls, monkeypatch, capsys):

@@ -4,18 +4,21 @@ import weakref
 import numpy as np
 import pytest
 
-from heckechain import eigensystems, matrix, polys
-from heckechain.arith import DomainError, primes_up_to
+from heckechain import cli, eigensystems, matrix, modsym, polys
+from heckechain.arith import DomainError, divisors, primes_up_to
+from heckechain.dims import dim_cusp_forms
 from heckechain.eigensystems import (
     Eigensystem,
     charpoly_halved,
     decompose,
+    old_flags,
     operator_primes,
     sturm_bound,
 )
 from heckechain.images import classify_image, witness_primes
 from heckechain.lifting import IntegralClasses
 from heckechain.modsym import symbol_space
+from test_polys import evaluate
 
 # Integral eigenvalues of the unique newform orbits, for spot checks after
 # reduction. Keys are primes q; the level-11 elliptic curve and the weight-12
@@ -46,7 +49,7 @@ def test_level_11_eigenvalues(ell):
     assert len(systems) == 1
     s = systems[0]
     assert s.label == f"11.2.0"
-    assert s.degree == 1 and s.multiplicity == 1 and not s.is_old
+    assert s.degree == 1 and s.multiplicity == 1 and old_flags(11, 2, ell) == [False]
     for q, aq in A_11A.items():
         if q == ell:
             continue
@@ -84,7 +87,7 @@ def test_level_23_golden_ratio_orbit():
     assert s.min_poly(2) == (6, 1, 1)
     F = s.field
     a2 = s.a(2)
-    assert polys.evaluate(F, (6, 1, 1), a2) == 0
+    assert evaluate(F, (6, 1, 1), a2) == 0
 
 
 def test_level_23_collapses_mod_5():
@@ -102,12 +105,59 @@ def test_old_orbit_marking_at_composite_level():
     systems = decompose(22, 2, 7)
     assert len(systems) == 1
     s = systems[0]
-    assert s.is_old
+    assert old_flags(22, 2, 7) == [True]
     assert s.multiplicity == 2
     for q, aq in A_11A.items():
         if q in (2, 7, 11):
             continue
         assert s.a(q) == aq % 7
+
+
+def all_divisor_old_flags(N, k, ell):
+    """The marking `decompose` did before `old_flags`: an orbit is old when a
+    system at some proper divisor level has its minimal polynomials at every
+    operator prime of N.  It raises where a divisor's block splits at one of
+    those primes."""
+    qs = operator_primes(N, k, ell)
+    old = {
+        tuple(sub.min_poly(q) for q in qs) for M in divisors(N)[:-1] for sub in decompose(M, k, ell)
+    }
+    return [tuple(s.min_poly(q) for q in qs) in old for s in decompose(N, k, ell)]
+
+
+# Where a block at a divisor level splits at an operator prime of N above
+# its own Sturm bound: the all-divisor marking raised, and with it the level.
+SPLIT_AT_DIVISOR = [
+    (96, 2, 11), (144, 2, 11), (192, 2, 11), (28, 4, 5), (42, 4, 5), (56, 4, 5),
+    (12, 6, 5), (18, 6, 5), (24, 6, 5), (36, 6, 5), (42, 6, 5), (48, 6, 5), (54, 6, 5),
+    (12, 8, 7), (18, 8, 7), (24, 8, 7), (30, 8, 7), (36, 8, 7),
+]
+
+
+@pytest.mark.parametrize("k, nmax", [(2, 60), (4, 30)])
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_old_flags_match_the_all_divisor_marking(k, nmax, ell):
+    compared = 0
+    for N in range(1, nmax + 1):
+        if N % ell == 0:
+            continue
+        if (N, k, ell) in SPLIT_AT_DIVISOR:
+            with pytest.raises(DomainError, match="splits the orbit's block"):
+                all_divisor_old_flags(N, k, ell)
+            continue
+        assert old_flags(N, k, ell) == all_divisor_old_flags(N, k, ell), N
+        compared += 1
+    assert compared >= nmax * 3 // 4
+
+
+@pytest.mark.parametrize("N, k, ell", SPLIT_AT_DIVISOR, ids=lambda v: str(v))
+def test_level_decomposes_where_a_divisor_block_splits(N, k, ell):
+    with pytest.raises(DomainError, match="splits the orbit's block"):
+        all_divisor_old_flags(N, k, ell)
+    systems = decompose(N, k, ell)
+    assert sum(s.block_dim for s in systems) == 2 * dim_cusp_forms(N, k)
+    flags = old_flags(N, k, ell)
+    assert len(flags) == len(systems) and any(flags)
 
 
 def test_labels_and_ordering_are_stable():
@@ -178,7 +228,7 @@ def sum_vec(F, xs):
 def test_min_poly_consistency_beyond_base_primes():
     s = decompose(23, 2, 7)[0]
     f = s.min_poly(13)
-    assert polys.evaluate(s.field, tuple(c % 7 for c in f), s.a(13)) == 0
+    assert evaluate(s.field, tuple(c % 7 for c in f), s.a(13)) == 0
     assert polys.degree(f) in (1, 2)
 
 
@@ -268,7 +318,7 @@ def refined_semisimple(s):
     acts semisimply."""
     sp = symbol_space(s.N, s.k, s.ell)
     restricted = [
-        eigensystems._restrict(sp.hecke_matrix(p), s._basis, s.ell) for p in s.base_primes
+        matrix.restrict(sp.hecke_matrix(p), s._basis, s.ell) for p in s.base_primes
     ]
     vs = joint_eigenspace(s.field, restricted, [s.a(p) for p in s.base_primes])
     return len(vs) * s.degree == s.block_dim
@@ -331,7 +381,7 @@ def test_later_prime_values_follow_query_order(N, k, ell, pinned, monkeypatch):
     assert {q: s.a(q) for q in pinned} == pinned
 
 
-# Spaces whose decompositions `_restrict` is checked on: prime and composite
+# Spaces whose decompositions `restrict` is checked on: prime and composite
 # levels, weights 2 and 4, a non-semisimple orbit (49.4.5) and the degree-18
 # orbit of 389.2.7; then blocks holding several systems, which `_narrow`
 # splits.
@@ -345,7 +395,7 @@ def solved_restriction(M, basis, ell):
 
 @pytest.mark.parametrize("N, k, ell", RESTRICT_SPACES + NARROWED_SPACES)
 def test_restrict_equals_the_solved_restriction(N, k, ell, monkeypatch):
-    restrict, split_block = eigensystems._restrict, eigensystems._split_block
+    restrict, split_block = matrix.restrict, eigensystems._split_block
     checked = []
 
     def compared(M, basis, ell):
@@ -361,8 +411,10 @@ def test_restrict_equals_the_solved_restriction(N, k, ell, monkeypatch):
         return pieces
 
     monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
-    monkeypatch.setattr(eigensystems, "_restrict", compared)
+    monkeypatch.setattr(eigensystems, "restrict", compared)
+    monkeypatch.setattr(modsym, "restrict", compared)
     monkeypatch.setattr(eigensystems, "_split_block", split_compared)
+    symbol_space.cache_clear()
     systems = decompose(N, k, ell)
     later = [q for q in primes_up_to(sturm_bound(N, k) + 20) if N * ell % q][-3:]
     for s in systems:
@@ -371,19 +423,26 @@ def test_restrict_equals_the_solved_restriction(N, k, ell, monkeypatch):
             s.a(q)
         compared(s._hecke_matrix(later[0]), s._W, ell)
     assert len(checked) > len(systems)
+    # The fresh space's Hecke matrices went through the same routine.
+    assert symbol_space(N, k, ell).cuspidal_basis.shape in checked
 
 
 def test_restrict_refuses_a_subspace_that_is_not_invariant():
     swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
     with pytest.raises(DomainError, match="inconsistent"):
-        eigensystems._restrict(swap, np.array([[1], [0]], dtype=np.int64), 5)
+        matrix.restrict(swap, np.array([[1], [0]], dtype=np.int64), 5)
 
 
 def test_restrict_refuses_a_basis_without_identity_rows():
     basis = np.array([[1, 1], [1, 2], [2, 0]], dtype=np.int64)
     assert matrix.rref(basis, 5)[1] == 2
     with pytest.raises(DomainError, match="no identity rows"):
-        eigensystems._restrict(np.eye(3, dtype=np.int64), basis, 5)
+        matrix.restrict(np.eye(3, dtype=np.int64), basis, 5)
+
+
+def test_restrict_to_a_basis_without_columns_is_empty():
+    R = matrix.restrict(np.eye(3, dtype=np.int64), np.zeros((3, 0), dtype=np.int64), 5)
+    assert R.shape == (0, 0)
 
 
 def power_exponent(s):

@@ -2,7 +2,7 @@ from itertools import islice
 
 import pytest
 
-from heckechain import lifting, polys
+from heckechain import lifting
 from heckechain.arith import DomainError, primes_up_to
 from heckechain.eigensystems import decompose
 from heckechain.lifting import (
@@ -13,6 +13,7 @@ from heckechain.lifting import (
 )
 
 from test_eigensystems import A_11A, TAU
+from test_polys import evaluate
 
 
 def test_lift_charpoly_level_11():
@@ -161,7 +162,7 @@ def test_factors_beyond_base_primes_vanish_at_eigenvalues_mod_other_characterist
 
             def vanishes(i, q):
                 F = tuple(c % ell for c in table[i, q])
-                return polys.evaluate(s.field, F, s.a(q)) == 0
+                return evaluate(s.field, F, s.a(q)) == 0
 
             matches = [
                 i for i in range(len(ic.classes))
