@@ -128,13 +128,11 @@ def space_congruences(N1: int, k1: int, N2: int, k2: int, ell: int):
     """Certified congruences mod ell between the systems of two spaces, with
     the route that found them.
 
-    The "direct" route compares the mod-ell orbits of two different spaces.
-    It cannot relate two orbits of one space: `decompose` has already put
-    two systems that differ at an operator prime into different blocks.  So
-    a space compared with itself, and a space out of domain at ell (ell
-    dividing a level, ...), take the "reduced" route, which compares the
-    reductions of the rational integral classes, each unordered pair once;
-    at 2 and 3 the direct route's error stands.
+    The "direct" route compares the mod-ell orbits of two spaces.  The
+    "reduced" route compares the reductions of the rational integral classes
+    instead: for a space out of domain at ell (ell dividing a level, ...) and
+    for a space compared with itself, whose orbits the split has already
+    told apart.  At 2 and 3 the direct route's error stands.
     """
     if (N1, k1) != (N2, k2):
         try:

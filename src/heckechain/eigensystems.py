@@ -134,10 +134,11 @@ class Eigensystem:
         factor of the charpoly of T_q restricted to the block."""
         if q not in self._minpolys:
             self._check_prime(q)
-            _, fac = _block_factors(self._hecke_matrix(q), self._basis, self.ell)
-            if len(fac) != 1:
+            space = symbol_space(self.N, self.k, self.ell)
+            pieces = _refine(space, [(self._basis, self._minpolys)], [q])
+            if len(pieces) != 1:
                 raise DomainError(f"the operator at {q} splits the orbit's block")
-            self._minpolys[q] = fac[0][0]
+            self._minpolys = pieces[0][1]
         return self._minpolys[q]
 
     def _hecke_matrix(self, q: int) -> np.ndarray:
@@ -242,17 +243,10 @@ def _split_block(R: np.ndarray, fac, ell: int) -> list[tuple[np.ndarray, polys.P
     return out
 
 
-def _block_factors(M: np.ndarray, basis: np.ndarray, ell: int):
-    """The restriction of M to the block and the factorisation of its charpoly."""
-    R = restrict(M, basis, ell)
-    return R, polys.factor(field(ell), charpoly_mod(R, ell))
-
-
 def _refine(space: ModularSymbolSpace, blocks, qs: list[int]) -> list:
-    """Split each (basis, minpolys) block by the operators at qs into the
-    generalized eigenspaces of its charpoly's factors; a piece carries the
-    minimal polynomial of every operator so far.  A prime the block already
-    carries is skipped."""
+    """Split each (basis, minpolys) block into the generalized eigenspaces of
+    the operators at qs; a piece carries the minimal polynomial of every
+    operator so far.  A prime the block already carries is skipped."""
     ell = space.ell
     for q in qs:
         nxt = []
@@ -260,7 +254,8 @@ def _refine(space: ModularSymbolSpace, blocks, qs: list[int]) -> list:
             if q in minpolys:
                 nxt.append((basis, minpolys))
                 continue
-            R, fac = _block_factors(space.hecke_matrix(q), basis, ell)
+            R = restrict(space.hecke_matrix(q), basis, ell)
+            fac = polys.factor(field(ell), charpoly_mod(R, ell))
             if len(fac) == 1:
                 nxt.append((basis, {**minpolys, q: fac[0][0]}))
                 continue

@@ -61,15 +61,13 @@ def solve_columns(C: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 def restrict(M: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
     """M restricted to the invariant span of basis's columns over F_p, read
-    off rows where basis is I and proved by one product.  Every basis the
-    program restricts to has such rows: `right_kernel` gives K[free] = I,
-    and a product basis @ K keeps them at basis's rows free of K.  A basis
-    with no columns gives the 0 x 0 matrix."""
+    off rows where basis is I and proved by one product.  `right_kernel`
+    gives K[free] = I, and a product basis @ K keeps such rows."""
     X = matmul_mod(M, basis, p)
     unit = np.flatnonzero((np.count_nonzero(basis, axis=1) == 1) & (basis.sum(axis=1) == 1))
     cols, first = np.unique(np.nonzero(basis[unit])[1], return_index=True)
     if len(cols) != basis.shape[1]:
-        raise DomainError("block basis has no identity rows")
+        raise DomainError("basis has no identity rows")
     R = X[unit[first]]
     if not np.array_equal(matmul_mod(basis, R, p), X):
         raise DomainError("linear system is inconsistent")
