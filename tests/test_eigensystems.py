@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from heckechain import cli, eigensystems, matrix, modsym, polys
+from heckechain import eigensystems, matrix, modsym, polys
 from heckechain.arith import DomainError, divisors, primes_up_to
 from heckechain.dims import dim_cusp_forms
 from heckechain.eigensystems import (
@@ -119,9 +119,8 @@ def all_divisor_old_flags(N, k, ell):
     operator prime of N.  It raises where a divisor's block splits at one of
     those primes."""
     qs = operator_primes(N, k, ell)
-    old = {
-        tuple(sub.min_poly(q) for q in qs) for M in divisors(N)[:-1] for sub in decompose(M, k, ell)
-    }
+    subs = [sub for M in divisors(N)[:-1] for sub in decompose(M, k, ell)]
+    old = {tuple(sub.min_poly(q) for q in qs) for sub in subs}
     return [tuple(s.min_poly(q) for q in qs) in old for s in decompose(N, k, ell)]
 
 
