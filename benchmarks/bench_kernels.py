@@ -14,7 +14,10 @@ to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial.  The
 ``charpoly_mod`` row is one seeded random 40 x 40 matrix over F_7, the
 ``polys.factor`` row one seeded random monic degree-30 polynomial over F_13,
 the ``P1List`` row builds P^1(Z/389), and the ``distinct_degree`` row splits
-the product of two seeded monic irreducibles of degree 18 over F_7.
+the product of two seeded monic irreducibles of degree 18 over F_7.  The
+``decompose`` row splits 389.2.7 into its orbits with the space memoised
+(its Hecke matrices too) and the decomposition memo cleared first: the
+block restrictions, charpolys and factorings on the plus part.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
@@ -25,11 +28,17 @@ import time
 
 import numpy as np
 
-from heckechain import _kernels, matrix, polys
+from heckechain import _kernels, eigensystems, matrix, polys
 from heckechain.arith import crt_pair, primes_up_to
 from heckechain.gf import field
 from heckechain.mlt import MAX_WINDOW
-from heckechain.modsym import ModularSymbolSpace, P1List, _presentation, heilbronn_matrices
+from heckechain.modsym import (
+    ModularSymbolSpace,
+    P1List,
+    _presentation,
+    heilbronn_matrices,
+    symbol_space,
+)
 
 
 def best_of(fn, repeats):
@@ -91,6 +100,17 @@ def bench_space(repeats):
         rows.append((f"{label} warm", best_of(lambda: ModularSymbolSpace(N, k, ell), repeats)))
         rows.append((f"{label} cold", best_of(cold, repeats)))
     return rows
+
+
+def bench_decompose(repeats):
+    N, k, ell = 389, 2, 7
+    symbol_space(N, k, ell)
+
+    def split():
+        eigensystems._DECOMPOSE_CACHE.clear()
+        eigensystems.decompose(N, k, ell)
+
+    return [(f"decompose {N}.{k}.{ell} space memoised", best_of(split, repeats))]
 
 
 def bench_sieve(repeats):
@@ -184,6 +204,7 @@ def main(argv=None):
         + bench_heilbronn(args.repeats)
         + bench_hecke(args.repeats)
         + bench_space(args.repeats)
+        + bench_decompose(args.repeats)
         + bench_sieve(args.repeats)
         + bench_field_mul(args.repeats)
         + bench_field_inv(args.repeats)

@@ -1,14 +1,15 @@
 """Decomposition of cuspidal spaces into Galois orbits of eigenvalue systems.
 
-Blocks are generalized eigenspaces carved out by the operators at primes up to
-the Sturm bound that avoid the level and the working characteristic. Each
-block carries one orbit. Its degree, multiplicity, whether it is semisimple
-and the minimal polynomial of its eigenvalue at every prime come from F_ell
-linear algebra on the block. The eigenvalues a(q) are a character of the
-F_ell Hecke algebra on the block, with values in its residue field
-F_{ell^degree} (Stein, *Modular Forms: A Computational Approach*, ch. 9):
-F_ell linear algebra plus one root per orbit, from the first query on.  An
-operator already semisimple over F_{ell^degree} is its own semisimple part.
+Blocks are generalized eigenspaces, in the plus part of the cuspidal space,
+carved out by the operators at primes up to the Sturm bound that avoid the
+level and the working characteristic. Each block carries one orbit. Its
+degree, multiplicity, whether it is semisimple and the minimal polynomial of
+its eigenvalue at every prime come from F_ell linear algebra on the block.
+The eigenvalues a(q) are a character of the F_ell Hecke algebra on the block,
+with values in its residue field F_{ell^degree} (Stein, *Modular Forms: A
+Computational Approach*, ch. 9): F_ell linear algebra plus one root per
+orbit, from the first query on.  An operator already semisimple over
+F_{ell^degree} is its own semisimple part.
 """
 
 from __future__ import annotations
@@ -55,13 +56,15 @@ def operator_primes(N: int, k: int, ell: int) -> list[int]:
 class Eigensystem:
     """One Galois orbit of Hecke eigenvalues on a cuspidal space mod ell.
 
-    Degree, multiplicity and the base primes' minimal polynomials come from
-    the split; `min_poly` elsewhere and `semisimple` restrict operators to the
-    block over F_ell. The first eigenvalue query writes the semisimple parts
-    at the base primes as polynomials in one generator T over F_ell and
-    keeps the conjugate root of T's minimal polynomial in F_{ell^degree}
-    whose base-prime values are least; a later prime shrinks the sub-block
-    where that character lives. The field never grows.
+    The block lies in the plus part of the space, which holds each system
+    once, so the multiplicity is block_dim / degree. Degree, multiplicity
+    and the base primes' minimal polynomials come from the split; `min_poly`
+    elsewhere and `semisimple` restrict operators to the block over F_ell.
+    The first eigenvalue query writes the semisimple parts at the base
+    primes as polynomials in one generator T over F_ell and keeps the
+    conjugate root of T's minimal polynomial in F_{ell^degree} whose
+    base-prime values are least; a later prime shrinks the sub-block where
+    that character lives. The field never grows.
     """
 
     def __init__(
@@ -75,11 +78,11 @@ class Eigensystem:
         self.ell = space.ell
         self.block_dim = int(block_basis.shape[1])
         self.degree = lcm(*(len(f) - 1 for f in minpolys.values())) if minpolys else 1
-        if self.block_dim % (2 * self.degree):
+        if self.block_dim % self.degree:
             raise DomainError(
                 "block dimension is incompatible with the orbit degree"
             )
-        self.multiplicity = self.block_dim // (2 * self.degree)
+        self.multiplicity = self.block_dim // self.degree
         self.base_primes = list(minpolys)
         self.index = -1
         self._basis = block_basis
@@ -281,7 +284,7 @@ def decompose(N: int, k: int, ell: int) -> list[Eigensystem]:
         return _DECOMPOSE_CACHE[key]
     space = symbol_space(N, k, ell)
     qs = operator_primes(N, k, ell)
-    n = space.cuspidal_dim
+    n = space.plus_dim
     blocks = _refine(space, [(np.eye(n, dtype=np.int64), {})] if n else [], qs)
     systems = [Eigensystem(space, basis, minpolys) for basis, minpolys in blocks]
     systems.sort(key=lambda s: (s.degree, [s._minpolys[q] for q in qs]))
@@ -306,13 +309,14 @@ def old_flags(N: int, k: int, ell: int) -> list[bool]:
 
 
 def charpoly_halved(N: int, k: int, ell: int, q: int) -> polys.Poly:
-    """Product over orbits of f_q^(block_dim / (2 deg f_q)); the degree equals
-    the cusp-form dimension at (N, k)."""
+    """Product over orbits of f_q^(block_dim / deg f_q): the charpoly of T_q
+    on the plus part, half the cuspidal space's, whose degree is the
+    cusp-form dimension at (N, k)."""
     Fl = field(ell)
     out: polys.Poly = (1,)
     for s in decompose(N, k, ell):
         f = s.min_poly(q)
-        e = s.block_dim // (2 * polys.degree(f))
+        e = s.block_dim // polys.degree(f)
         for _ in range(e):
             out = polys.mul(Fl, out, f)
     return out

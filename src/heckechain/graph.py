@@ -30,7 +30,9 @@ MAX_LMAX = 1000
 
 def characteristics(lmax: int) -> list[int]:
     """The primes up to lmax, each a characteristic whose spaces are built and
-    split; a value above ``MAX_LMAX`` is refused before the list is made."""
+    split; lmax below 0 or above ``MAX_LMAX`` is refused before listing."""
+    if lmax < 0:
+        raise DomainError("lmax must not be negative")
     if lmax > MAX_LMAX:
         raise DomainError(f"lmax above supported ceiling {MAX_LMAX}")
     return primes_up_to(lmax)

@@ -1,6 +1,6 @@
 """Characteristic-zero orbit classes recovered from mod-ell eigensystems.
 
-The halved characteristic polynomial of each operator has integer
+The characteristic polynomial of each operator on the plus part has integer
 coefficients bounded by the classical estimate on eigenvalue size, so its
 coefficients are recovered by CRT over enough valid characteristics, with one
 spare characteristic as a stability check. Factoring the lifted polynomials
@@ -52,7 +52,7 @@ def _coefficient_bound(D: int, k: int, q: int) -> int:
 
 def lift_charpoly(N: int, k: int, q: int) -> tuple[int, ...]:
     """Monic integer polynomial whose reduction mod each valid ell equals the
-    halved charpoly of the operator at q; little-endian coefficients."""
+    plus-part charpoly of the operator at q; little-endian coefficients."""
     if N % q == 0:
         raise DomainError("lifting is defined away from the level")
     D = dim_cusp_forms(N, k)
@@ -180,7 +180,7 @@ class IntegralClasses:
             systems = decompose(self.N, self.k, ell)
         except DomainError:
             return None
-        if sum(s.block_dim for s in systems) != 2 * dim_cusp_forms(self.N, self.k):
+        if sum(s.block_dim for s in systems) != dim_cusp_forms(self.N, self.k):
             return None
         if any(not s.semisimple for s in systems):
             return None
@@ -316,7 +316,7 @@ def orbit_class_map(N: int, k: int, ell: int, classes) -> dict[int, list[int]]:
     (integral classes at N or at divisors of N) of the classes compatible
     with it; several hits mean the classes collide (are congruent) mod ell."""
     systems = decompose(N, k, ell)
-    if sum(s.block_dim for s in systems) != 2 * dim_cusp_forms(N, k):
+    if sum(s.block_dim for s in systems) != dim_cusp_forms(N, k):
         raise DomainError("dimension anomaly at this characteristic")
     qs = base_primes(N, k)
     out: dict[int, list[int]] = {}

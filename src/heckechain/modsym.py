@@ -16,7 +16,12 @@ its array once per p; every characteristic shares them read-only. The
 two-term relations pair each symbol with its S-partner up to sign, and the
 presentation substitutes them into the three-term rows. A space does only
 the work mod ell: it reduces those rows and finds the free basis, the
-projection onto it and the kernel of the boundary map."""
+projection onto it and the kernel of the boundary map.
+
+Every eigensystem sits in the cuspidal space once per eigenvalue of the star
+involution eta = (-1, 0; 0, 1), which commutes with each T_q (Cremona, ch. 2;
+Stein, ch. 8). A space applies eta once, as hecke_accum does T_q, and the
+Hecke matrices act on the plus part ker(eta - 1), half as wide."""
 
 from __future__ import annotations
 
@@ -34,6 +39,9 @@ MAX_WEIGHT = 12
 # P^1 holds an N x N int64 table. The largest |P^1| up to here, 8064 at N = 2730
 # and 2940: `space 2940 2 11` takes 3.3 s and 352 MB peak RSS on a 2-vCPU VM.
 MAX_LEVEL = 3000
+# The star involution as hecke_accum applies it: the symbol X^i Y^(k-2-i) at
+# (u : v) goes to (-1)^i times that at (-u : v).
+STAR = np.array([[-1, 0, 0, 1]], dtype=np.int64)
 
 
 class P1List:
@@ -254,6 +262,13 @@ class ModularSymbolSpace:
         self._boundary = _scatter(pres.boundary, len(self.cusp_classes), D, ell)
         self.cuspidal_basis, _ = right_kernel(self._boundary[:, self._free], ell)
         self.cuspidal_dim = self.cuspidal_basis.shape[1]
+        eta = restrict(self._act(STAR), self.cuspidal_basis, ell)
+        plus, _ = right_kernel((eta - np.eye(self.cuspidal_dim, dtype=np.int64)) % ell, ell)
+        # cuspidal_basis keeps the identity rows of plus, so `restrict` applies.
+        self.plus_basis = matmul_mod(self.cuspidal_basis, plus, ell)
+        self.plus_dim = plus.shape[1]
+        if 2 * self.plus_dim != self.cuspidal_dim:
+            raise DomainError("the plus part of the star involution is not half the cuspidal space")
 
     def __repr__(self) -> str:
         return f"ModularSymbolSpace(N={self.N}, k={self.k}, ell={self.ell})"
@@ -265,14 +280,19 @@ class ModularSymbolSpace:
             raise DomainError("hecke operators are indexed by primes")
         if self.N % q == 0:
             raise DomainError("hecke operator at a prime dividing the level")
+        return self._act(heilbronn_matrices(q))
+
+    def _act(self, mats: np.ndarray) -> np.ndarray:
+        """The summed action of the matrices (a, b, c, d) on the free
+        symbols, projected back onto them."""
         A = np.zeros((self.n_symbols, self._source_reps.shape[0] * (self.k - 1)), dtype=np.int64)
-        hecke_accum(A, heilbronn_matrices(q), self.p1.table, self._source_reps, self.k, self.N, self.ell)
+        hecke_accum(A, mats, self.p1.table, self._source_reps, self.k, self.N, self.ell)
         return matmul_mod(self._proj, A[:, self._source_cols], self.ell)
 
     def hecke_matrix(self, q: int) -> np.ndarray:
-        """T_q restricted to the cuspidal subspace, in its basis."""
+        """T_q restricted to the plus part of the cuspidal subspace, in plus_basis."""
         if q not in self._hecke:
-            self._hecke[q] = restrict(self.hecke_on_quotient(q), self.cuspidal_basis, self.ell)
+            self._hecke[q] = restrict(self.hecke_on_quotient(q), self.plus_basis, self.ell)
         return self._hecke[q]
 
 

@@ -8,9 +8,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from heckechain import cli, graph, modsym, planner
+from heckechain import cli, eigensystems, graph, modsym, planner
 from heckechain.dims import dim_cusp_forms
 from heckechain.modsym import MAX_LEVEL
 
@@ -72,6 +73,16 @@ def test_orbits_where_a_divisor_block_splits_later(capsys, N, k, ell):
     orbits = re.findall(r"degree=(\d+) multiplicity=(\d+) semisimple=\w+ (old|new)", out)
     assert sum(int(d) * int(m) for d, m, _ in orbits) == dim_cusp_forms(N, k)
     assert "old" in [kind for *_, kind in orbits]
+
+
+def test_star_involution_whose_plus_part_is_not_half_is_a_domain_error(capsys, monkeypatch):
+    # With eta replaced by the identity, its plus part is the whole space.
+    monkeypatch.setattr(modsym, "STAR", np.array([[1, 0, 0, 1]], dtype=np.int64))
+    monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
+    modsym.symbol_space.cache_clear()
+    code, out, err = run(capsys, "orbits", "23", "2", "7")
+    assert (code, out) == (1, "")
+    assert err == "error: the plus part of the star involution is not half the cuspidal space\n"
 
 
 def test_closed_stdout_ends_without_traceback():
@@ -196,6 +207,9 @@ def test_lmax_above_ceiling_is_refused_before_listing_primes(capsys, monkeypatch
     code, out, err = run(capsys, *argv, "--lmax", str(graph.MAX_LMAX + 1))
     assert (code, out) == (1, "")
     assert err == f"error: lmax above supported ceiling {graph.MAX_LMAX}\n"
+    code, out, err = run(capsys, *argv, "--lmax", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: lmax must not be negative\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import gc
 import weakref
+from math import lcm
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from heckechain.eigensystems import (
     operator_primes,
     sturm_bound,
 )
+from heckechain.gf import field
 from heckechain.images import classify_image, witness_primes
 from heckechain.lifting import IntegralClasses
 from heckechain.modsym import symbol_space
+from test_modsym import full_hecke_matrix, star_on_cuspidal
 from test_polys import evaluate
 
 # Integral eigenvalues of the unique newform orbits, for spot checks after
@@ -154,7 +158,7 @@ def test_level_decomposes_where_a_divisor_block_splits(N, k, ell):
     with pytest.raises(DomainError, match="splits the orbit's block"):
         all_divisor_old_flags(N, k, ell)
     systems = decompose(N, k, ell)
-    assert sum(s.block_dim for s in systems) == 2 * dim_cusp_forms(N, k)
+    assert sum(s.block_dim for s in systems) == dim_cusp_forms(N, k)
     flags = old_flags(N, k, ell)
     assert len(flags) == len(systems) and any(flags)
 
@@ -172,7 +176,65 @@ def test_block_dimensions_cover_cuspidal_space():
     for N, k, ell in [(23, 2, 5), (37, 2, 5), (67, 2, 7), (33, 2, 7)]:
         sp = symbol_space(N, k, ell)
         systems = decompose(N, k, ell)
-        assert sum(s.block_dim for s in systems) == sp.cuspidal_dim
+        assert sum(s.block_dim for s in systems) == sp.plus_dim == sp.cuspidal_dim // 2
+
+
+def full_space_orbits(N, k, ell):
+    """(degree, multiplicity, semisimple, min polys at the operator primes)
+    of each orbit, in label order, from the split of the whole cuspidal
+    space, where an orbit's multiplicity is block_dim / (2 degree)."""
+    sp = symbol_space(N, k, ell)
+    qs = operator_primes(N, k, ell)
+    full = {q: full_hecke_matrix(sp, q) for q in qs}
+    n = sp.cuspidal_dim
+    blocks = [(np.eye(n, dtype=np.int64), {})] if n else []
+    whole = SimpleNamespace(ell=ell, hecke_matrix=full.__getitem__)
+    blocks = eigensystems._refine(whole, blocks, qs)
+    out = []
+    for basis, minpolys in blocks:
+        degree = lcm(*(polys.degree(f) for f in minpolys.values())) if minpolys else 1
+        assert basis.shape[1] % (2 * degree) == 0
+        semisimple = all(
+            not matrix.poly_of_matrix(minpolys[q], matrix.restrict(full[q], basis, ell), ell).any()
+            for q in qs
+        )
+        out.append((degree, basis.shape[1] // (2 * degree), semisimple, [minpolys[q] for q in qs]))
+    return sorted(out, key=lambda o: (o[0], o[3]))
+
+
+def check_plus_part(N, k, ell):
+    """The star involution on the whole cuspidal space squares to 1 and
+    commutes with every T_q; its plus part is half the space, carries half
+    of each charpoly and splits into the whole space's orbits."""
+    sp = symbol_space(N, k, ell)
+    n = sp.cuspidal_dim
+    eta = star_on_cuspidal(sp)
+    assert np.array_equal(eta @ eta % ell, np.eye(n, dtype=np.int64))
+    assert 2 * sp.plus_dim == n
+    qs = operator_primes(N, k, ell)
+    for q in qs:
+        T = full_hecke_matrix(sp, q)
+        assert np.array_equal(eta @ T % ell, T @ eta % ell), q
+        half = matrix.charpoly_mod(sp.hecke_matrix(q), ell)
+        assert polys.mul(field(ell), half, half) == matrix.charpoly_mod(T, ell), q
+    got = [
+        (s.degree, s.multiplicity, s.semisimple, [s.min_poly(q) for q in qs])
+        for s in decompose(N, k, ell)
+    ]
+    assert got == full_space_orbits(N, k, ell)
+
+
+@pytest.mark.parametrize("k, nmax", [(2, 60), (4, 30)])
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_plus_part_matches_the_full_space(k, nmax, ell):
+    for N in range(1, nmax + 1):
+        if N % ell:
+            check_plus_part(N, k, ell)
+
+
+@pytest.mark.parametrize("N, k, ell", [(389, 2, 7), (97, 4, 13)])
+def test_plus_part_matches_the_full_space_on_large_spaces(N, k, ell):
+    check_plus_part(N, k, ell)
 
 
 def test_eigenvalue_preconditions():
@@ -277,7 +339,7 @@ def test_min_poly_beyond_base_primes_needs_no_eigenvector(monkeypatch):
 def test_min_poly_on_a_block_holding_two_orbits_is_refused():
     sp = symbol_space(67, 2, 5)
     assert [s.min_poly(2) for s in decompose(67, 2, 5)] == [(3, 1), (4, 1)]
-    whole = Eigensystem(sp, np.eye(sp.cuspidal_dim, dtype=np.int64), {})
+    whole = Eigensystem(sp, np.eye(sp.plus_dim, dtype=np.int64), {})
     with pytest.raises(DomainError, match="splits the orbit's block"):
         whole.min_poly(2)
 
@@ -286,13 +348,13 @@ def test_eigenvalue_outside_the_orbit_field_is_refused():
     # Taken as one degree-1 orbit, the whole space of 23.2.7 has its
     # eigenvalue at 2 only in F_49, and the field does not grow to hold it.
     sp = symbol_space(23, 2, 7)
-    whole = Eigensystem(sp, np.eye(sp.cuspidal_dim, dtype=np.int64), {})
+    whole = Eigensystem(sp, np.eye(sp.plus_dim, dtype=np.int64), {})
     with pytest.raises(DomainError, match="needs a larger field"):
         whole.a(2)
     # Taken as one orbit, the whole space of 67.2.5 splits at 2, and the
     # query keeps the piece with the smaller eigenvalue.
     sp = symbol_space(67, 2, 5)
-    whole = Eigensystem(sp, np.eye(sp.cuspidal_dim, dtype=np.int64), {})
+    whole = Eigensystem(sp, np.eye(sp.plus_dim, dtype=np.int64), {})
     assert whole.a(2) == min(s.a(2) for s in decompose(67, 2, 5))
 
 
@@ -423,7 +485,7 @@ def test_restrict_equals_the_solved_restriction(N, k, ell, monkeypatch):
         compared(s._hecke_matrix(later[0]), s._W, ell)
     assert len(checked) > len(systems)
     # The fresh space's Hecke matrices went through the same routine.
-    assert symbol_space(N, k, ell).cuspidal_basis.shape in checked
+    assert symbol_space(N, k, ell).plus_basis.shape in checked
 
 
 def test_restrict_refuses_a_subspace_that_is_not_invariant():

@@ -5,9 +5,11 @@ from heckechain._kernels import hecke_accum, matmul_mod
 from heckechain.arith import DomainError, primes_up_to
 from heckechain.dims import dim_cusp_forms
 from heckechain.images import witness_bound
+from heckechain.matrix import restrict, right_kernel
 from heckechain.modsym import (
     MAX_LEVEL,
     MAX_WEIGHT,
+    STAR,
     ModularSymbolSpace,
     P1List,
     _presentation,
@@ -18,7 +20,7 @@ from heckechain.modsym import (
 from test_kernels import merel
 
 # Cusp form dimensions from the standard genus/dimension formulas; the
-# cuspidal modular symbol space is twice as large.
+# cuspidal modular symbol space is twice as large, and its plus part as large.
 DIMENSION_PINS = {
     (11, 2): 1,
     (23, 2): 2,
@@ -92,6 +94,7 @@ def test_cuspidal_dimension_pins(N, k):
     for ell in pick_characteristics(N, k):
         sp = symbol_space(N, k, ell)
         assert sp.cuspidal_dim == 2 * expect, (N, k, ell)
+        assert sp.plus_dim == expect, (N, k, ell)
 
 
 def pick_characteristics(N, k, count=2):
@@ -188,10 +191,21 @@ def test_hecke_commutes_on_cuspidal_space():
 
 def test_weight_12_level_1_space():
     sp = symbol_space(1, 12, 13)
-    assert sp.cuspidal_dim == 2
-    # The Hecke action there is scalar, by tau(2) = -24.
-    T2 = sp.hecke_matrix(2)
-    assert np.array_equal(T2, np.diag([(-24) % 13] * 2))
+    assert (sp.cuspidal_dim, sp.plus_dim) == (2, 1)
+    # The Hecke action there is scalar, by tau(2) = -24, on either part.
+    assert np.array_equal(full_hecke_matrix(sp, 2), np.diag([(-24) % 13] * 2))
+    assert np.array_equal(sp.hecke_matrix(2), np.diag([(-24) % 13]))
+
+
+def full_hecke_matrix(sp, q):
+    """T_q on the whole cuspidal space, in `cuspidal_basis`: the restriction
+    every Hecke matrix had before they moved to the plus part."""
+    return restrict(sp.hecke_on_quotient(q), sp.cuspidal_basis, sp.ell)
+
+
+def star_on_cuspidal(sp):
+    """The star involution on the whole cuspidal space, in `cuspidal_basis`."""
+    return restrict(sp._act(STAR), sp.cuspidal_basis, sp.ell)
 
 
 def reference_space(N, k, ell):
@@ -260,14 +274,14 @@ def reference_space(N, k, ell):
     return p1, free, proj, cusps, basis
 
 
-def reference_hecke(p1, free, proj, basis, N, k, ell, q):
-    # T_q on all symbols, projected to the quotient, restricted to the free
-    # symbols and solved for in the cuspidal basis.
+def reference_action(p1, free, proj, basis, N, k, ell, mats):
+    # The matrices' action on all symbols, projected to the quotient,
+    # restricted to the free symbols and solved for in the given basis.
     from heckechain.matrix import solve_columns
 
     D = proj.shape[1]
     A = np.zeros((D, D), dtype=np.int64)
-    hecke_accum(A, merel(q), p1.table, p1.reps, k, N, ell)
+    hecke_accum(A, mats, p1.table, p1.reps, k, N, ell)
     lift = np.zeros((D, len(free)), dtype=np.int64)
     lift[free, np.arange(len(free))] = 1
     M = matmul_mod(matmul_mod(proj, A, ell), lift, ell)
@@ -300,8 +314,14 @@ def test_presentation_matches_dense_construction(N, k, ells):
         assert np.array_equal(sp._proj, proj)
         assert sp.cusp_classes == cusps
         assert np.array_equal(sp.cuspidal_basis, basis)
+        # The plus part: ker(eta - 1) in the cuspidal basis, mapped back.
+        eta = reference_action(p1, free, proj, basis, N, k, ell, STAR)
+        plus, _ = right_kernel((eta - np.eye(len(eta), dtype=np.int64)) % ell, ell)
+        assert np.array_equal(sp.plus_basis, basis @ plus % ell)
         for q in [q for q in (2, 3, 7, 13) if N % q]:
-            want = reference_hecke(p1, free, proj, basis, N, k, ell, q)
+            want = reference_action(p1, free, proj, basis, N, k, ell, merel(q))
+            assert np.array_equal(full_hecke_matrix(sp, q), want), (ell, q)
+            want = reference_action(p1, free, proj, sp.plus_basis, N, k, ell, merel(q))
             assert np.array_equal(sp.hecke_matrix(q), want), (ell, q)
 
 
@@ -360,10 +380,10 @@ def test_heilbronn_matrices_give_the_merel_hecke_operators(N, k, bound):
 def test_hecke_matrix_rejects_an_operator_leaving_the_cuspidal_space(monkeypatch):
     sp = ModularSymbolSpace(23, 2, 7)
     # e_j lies outside the cuspidal subspace (the boundary map does not kill
-    # it), and M sends the first cuspidal basis vector to a multiple of it.
+    # it), and M sends the first plus basis vector to a multiple of it.
     j = next(j for j in range(sp.dim) if sp._boundary[:, sp._free][:, j].any())
     M = np.zeros((sp.dim, sp.dim), dtype=np.int64)
-    M[j, np.flatnonzero(sp.cuspidal_basis[:, 0])[0]] = 1
+    M[j, np.flatnonzero(sp.plus_basis[:, 0])[0]] = 1
     monkeypatch.setattr(sp, "hecke_on_quotient", lambda q: M)
     with pytest.raises(DomainError, match="^linear system is inconsistent$"):
         sp.hecke_matrix(2)
