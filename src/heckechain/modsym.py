@@ -16,16 +16,13 @@ its array once per p; every characteristic shares them read-only. The
 two-term relations pair each symbol with its S-partner up to sign, and the
 presentation substitutes them into the three-term rows. A space does only
 the work mod ell: it reduces those rows and finds the free basis, the
-projection onto it and the kernel of the boundary map.
-
-Every eigensystem sits in the cuspidal space once per eigenvalue of the star
-involution eta = (-1, 0; 0, 1), which commutes with each T_q (Cremona, ch. 2;
-Stein, ch. 8). A space applies eta once, as hecke_accum does T_q, and the
-Hecke matrices act on the plus part ker(eta - 1), half as wide."""
+projection onto it and the kernel of the boundary map. Hecke matrices act on
+the plus part ker(eta - 1) of the star involution eta = (-1, 0; 0, 1), which
+holds each eigensystem once (Cremona, ch. 2; Stein, ch. 8)."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd
 
 import numpy as np
@@ -39,8 +36,7 @@ MAX_WEIGHT = 12
 # P^1 holds an N x N int64 table. The largest |P^1| up to here, 8064 at N = 2730
 # and 2940: `space 2940 2 11` takes 3.3 s and 352 MB peak RSS on a 2-vCPU VM.
 MAX_LEVEL = 3000
-# The star involution as hecke_accum applies it: the symbol X^i Y^(k-2-i) at
-# (u : v) goes to (-1)^i times that at (-u : v).
+# eta as hecke_accum applies it: X^i Y^(k-2-i) at (u : v) to (-1)^i times that at (-u : v).
 STAR = np.array([[-1, 0, 0, 1]], dtype=np.int64)
 
 
@@ -262,13 +258,21 @@ class ModularSymbolSpace:
         self._boundary = _scatter(pres.boundary, len(self.cusp_classes), D, ell)
         self.cuspidal_basis, _ = right_kernel(self._boundary[:, self._free], ell)
         self.cuspidal_dim = self.cuspidal_basis.shape[1]
-        eta = restrict(self._act(STAR), self.cuspidal_basis, ell)
-        plus, _ = right_kernel((eta - np.eye(self.cuspidal_dim, dtype=np.int64)) % ell, ell)
-        # cuspidal_basis keeps the identity rows of plus, so `restrict` applies.
-        self.plus_basis = matmul_mod(self.cuspidal_basis, plus, ell)
-        self.plus_dim = plus.shape[1]
-        if 2 * self.plus_dim != self.cuspidal_dim:
+
+    @cached_property
+    def plus_basis(self) -> np.ndarray:
+        """The cuspidal basis times ker(eta - 1), built on first use: `space`
+        needs none, and at N = 2940 eta costs ten times the rest."""
+        eta = restrict(self._act(STAR), self.cuspidal_basis, self.ell)
+        plus, _ = right_kernel((eta - np.eye(len(eta), dtype=np.int64)) % self.ell, self.ell)
+        if 2 * plus.shape[1] != self.cuspidal_dim:
             raise DomainError("the plus part of the star involution is not half the cuspidal space")
+        # cuspidal_basis keeps the identity rows of plus, so `restrict` applies.
+        return matmul_mod(self.cuspidal_basis, plus, self.ell)
+
+    @property
+    def plus_dim(self) -> int:
+        return self.plus_basis.shape[1]
 
     def __repr__(self) -> str:
         return f"ModularSymbolSpace(N={self.N}, k={self.k}, ell={self.ell})"
@@ -283,8 +287,7 @@ class ModularSymbolSpace:
         return self._act(heilbronn_matrices(q))
 
     def _act(self, mats: np.ndarray) -> np.ndarray:
-        """The summed action of the matrices (a, b, c, d) on the free
-        symbols, projected back onto them."""
+        """The matrices' summed action on the free symbols, projected onto them."""
         A = np.zeros((self.n_symbols, self._source_reps.shape[0] * (self.k - 1)), dtype=np.int64)
         hecke_accum(A, mats, self.p1.table, self._source_reps, self.k, self.N, self.ell)
         return matmul_mod(self._proj, A[:, self._source_cols], self.ell)

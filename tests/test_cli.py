@@ -77,9 +77,12 @@ def test_orbits_where_a_divisor_block_splits_later(capsys, N, k, ell):
 
 def test_star_involution_whose_plus_part_is_not_half_is_a_domain_error(capsys, monkeypatch):
     # With eta replaced by the identity, its plus part is the whole space.
+    # `space` builds no plus part, so it still prints the dimensions.
     monkeypatch.setattr(modsym, "STAR", np.array([[1, 0, 0, 1]], dtype=np.int64))
     monkeypatch.setattr(eigensystems, "_DECOMPOSE_CACHE", {})
     modsym.symbol_space.cache_clear()
+    code, out, err = run(capsys, "space", "23", "2", "7")
+    assert (code, err) == (0, "") and "cuspidal dimension 4" in out
     code, out, err = run(capsys, "orbits", "23", "2", "7")
     assert (code, out) == (1, "")
     assert err == "error: the plus part of the star involution is not half the cuspidal space\n"
