@@ -117,31 +117,10 @@ def kronecker(a: int, q: int) -> int:
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     """Combine x = r1 (m1), x = r2 (m2) for coprime moduli; returns (r, m1*m2)."""
-    g, s, _ = ext_gcd(m1, m2)
-    if g != 1:
+    if math.gcd(m1, m2) != 1:
         raise DomainError("crt_pair requires coprime moduli")
     m = m1 * m2
-    return (r1 + (r2 - r1) * s % m2 * m1) % m, m
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def inv_mod(a: int, m: int) -> int:
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise DomainError(f"{a} is not invertible modulo {m}") from None
+    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m, m
 
 
 def symmetric_lift(r: int, m: int) -> int:

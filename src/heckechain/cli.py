@@ -372,7 +372,8 @@ def _load_descriptor(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read descriptor file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError and UnicodeDecodeError are both ValueErrors.
+    except ValueError as exc:
         raise DomainError(f"descriptor file {path} is not valid JSON: {exc}") from exc
     return descriptor_from_dict(doc)
 
@@ -583,14 +584,19 @@ def _dispatch(args, store: Store) -> str:
     if payload is None:
         payload = args.payload(args)
         store.put(args.kind, payload, *key)
-    return args.render(payload)
+        return args.render(payload)
+    # A stored payload passed its checksum, but nothing checked its shape.
+    try:
+        return args.render(payload)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        path = store.path(args.kind, key)
+        raise DomainError(f"cache entry {path} does not match the {args.kind} payload") from exc
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    store = Store(resolve_cache_dir(args.cache_dir))
     try:
-        output = _dispatch(args, store)
+        output = _dispatch(args, Store(resolve_cache_dir(args.cache_dir)))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,10 +11,10 @@ deterministic for a fixed witness bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import prod
 
 from . import polys
-from .arith import DomainError, factorize, kronecker, primes_up_to
+from .arith import DomainError, divisors, factorize, kronecker, primes_up_to
 from .eigensystems import sturm_bound
 from .gf import field
 
@@ -43,18 +43,11 @@ def witness_primes(N: int, k: int, ell: int) -> list[int]:
 def candidate_discriminants(N: int, ell: int) -> list[int]:
     """Fundamental discriminants of quadratic fields unramified outside
     N * ell, ordered by absolute value (positive first on ties)."""
-    ps = sorted(factorize(N * ell))
-    odd = [p for p in ps if p != 2]
+    ps = factorize(N * ell)
     has2 = 2 in ps
-    ms = [1]
-    for r in range(1, len(odd) + 1):
-        for combo in combinations(odd, r):
-            m = 1
-            for p in combo:
-                m *= p
-            ms.append(m)
+    ms = divisors(prod(p for p in ps if p != 2))
     if has2:
-        ms.extend([2 * m for m in ms])
+        ms += [2 * m for m in ms]
     out = []
     for m in ms:
         for d in (m, -m):

@@ -8,7 +8,10 @@ space is the quotient by the two- and three-term relations, with the non-pivot
 cusp classes on them. T_p applies Cremona's Heilbronn matrices of determinant p
 (a set satisfying Merel's condition) to the source reps, the P^1 reps holding a
 free symbol, and projects the images onto the free basis (Stein, GSM 79, ch. 3,
-8; Cremona, Algorithms for Modular Elliptic Curves, ch. 2).
+8; Cremona, Algorithms for Modular Elliptic Curves, ch. 2). A cusp's class is
+a closed form in residues mod N, so the boundary map needs no lift to SL2(Z)
+and no search among classes (Cremona, 2.2; Diamond & Shurman, A First Course
+in Modular Forms, 3.8).
 
 The relations and the boundary map are integer data. `_presentation` builds
 them once per (N, k), with P^1 and the cusp classes, and `heilbronn_matrices`
@@ -28,7 +31,7 @@ from math import comb, gcd
 import numpy as np
 
 from ._kernels import hecke_accum, matmul_mod
-from .arith import DomainError, ext_gcd, inv_mod, is_prime
+from .arith import DomainError, is_prime
 from .dims import index_mu
 from .matrix import restrict, right_kernel
 
@@ -91,37 +94,12 @@ def heilbronn_matrices(p: int) -> np.ndarray:
     return mats
 
 
-def _cusp_normalize(a: int, c: int) -> tuple[int, int]:
-    if c == 0:
-        return (1, 0)
-    g = gcd(a, c)
-    a //= g
-    c //= g
-    if c < 0:
-        a, c = -a, -c
-    return (a, c)
-
-
-def _cusps_equivalent(N: int, c1: tuple[int, int], c2: tuple[int, int]) -> bool:
-    p1, q1 = c1
-    p2, q2 = c2
-    g = gcd(q1 * q2, N)
-    s1 = p1 if q1 == 0 else (0 if q1 == 1 else inv_mod(p1, q1))
-    s2 = p2 if q2 == 0 else (0 if q2 == 1 else inv_mod(p2, q2))
-    return (s1 * q2 - s2 * q1) % g == 0
-
-
-def _lift_to_coprime(c: int, d: int, N: int) -> tuple[int, int]:
-    """Representative of (c : d) with coprime integer entries."""
-    if N == 1:
-        return (0, 1)
-    c %= N
-    d %= N
-    if c == 0:
-        return (N, d)
-    while gcd(c, d) != 1:
-        d += N
-    return (c, d)
+def _cusp_class(N: int, y: int, z: int) -> tuple[int, int]:
+    """The class key of the cusps x/y with x z = 1 mod y; it depends on y and z
+    mod N only, and pow(z, -1, 1) is 0."""
+    g = gcd(y, N)
+    h = gcd(g, N // g)
+    return (g, pow(z, -1, h) * (y // g) % h)
 
 
 def validate_level_weight(N: int, k: int) -> None:
@@ -156,6 +134,12 @@ class Presentation:
     relation rows and the boundary map as read-only (row, column, value)
     integer triples, and the cusp classes.
 
+    The boundary of (c : d) is {a/c} - {b/d}, with a = 1/d mod c and b = -1/c
+    mod d from a lift to SL2(Z). Cusps x/y and x'/y' are Gamma0(N)-equivalent
+    exactly when g = gcd(y, N) = gcd(y', N) and x (y/g) = x' (y'/g) mod
+    gcd(g, N/g) (Cremona, Prop. 2.2.3; Diamond & Shurman, Prop. 3.8.3), so
+    `cusp_classes` holds these (g, x (y/g)) keys, in order of first appearance.
+
     The two-term relation of symbol c = x * w + i is e_c + s e_p = 0, with
     S-partner p = xs * w + (k - 2 - i) and s = (-1)^i. The relation rows are
     the three-term rows with e_c = coeff * e_p, coeff = -s, put in for the
@@ -170,17 +154,8 @@ class Presentation:
         rel: list[tuple[int, int, int]] = []
         bnd: list[tuple[int, int, int]] = []
         seen_st: set[int] = set()
-        cusp_reps: list[tuple[int, int]] = []
+        classes: dict[tuple[int, int], int] = {}
         xs_of = np.empty(len(p1), dtype=np.int64)
-
-        def cusp_class(a: int, c: int) -> int:
-            cu = _cusp_normalize(a, c)
-            for idx, rep in enumerate(cusp_reps):
-                if _cusps_equivalent(N, rep, cu):
-                    return idx
-            cusp_reps.append(cu)
-            return len(cusp_reps) - 1
-
         row = 0
         for x in range(len(p1)):
             c, d = (int(v) for v in p1.reps[x])
@@ -196,11 +171,8 @@ class Presentation:
                     for j in range(i + 1):
                         rel.append((row, xt2 * w + (kk - i + j), (-1) ** (kk - i + j) * comb(i, j)))
                     row += 1
-            cl, dl = _lift_to_coprime(c, d, N)
-            _, s, t = ext_gcd(dl, cl)
-            a, b = s, -t
-            assert a * dl - b * cl == 1
-            bnd += [(cusp_class(a, cl), x * w + kk, 1), (cusp_class(b, dl), x * w, -1)]
+            bnd += [(classes.setdefault(_cusp_class(N, c, d), len(classes)), x * w + kk, 1),
+                    (classes.setdefault(_cusp_class(N, d, -c), len(classes)), x * w, -1)]
         col = np.arange(len(p1) * w)
         partner = (xs_of[:, None] * w + kk - np.arange(w)).ravel()
         sign = np.tile(1 - 2 * (np.arange(w) % 2), len(p1))
@@ -214,7 +186,7 @@ class Presentation:
         self.n_relations = row
         self.relations = np.column_stack((tr, target, tv * coeff[tc]))
         self.boundary = np.array(bnd, dtype=np.int64)
-        self.cusp_classes = tuple(cusp_reps)
+        self.cusp_classes = tuple(classes)
         for a in (p1.reps, p1.table, self.relations, self.boundary, self.small, self.partner,
                   self.coeff, self.kept):
             a.setflags(write=False)
@@ -254,7 +226,7 @@ class ModularSymbolSpace:
         self._source_reps = self.p1.reps[sources]
         # Free symbol x * w + i is column s * w + i of T_q on the source reps.
         self._source_cols = [sources.index(f // w) * w + f % w for f in self._free]
-        self.cusp_classes = list(pres.cusp_classes)
+        self.cusp_classes = pres.cusp_classes
         self._boundary = _scatter(pres.boundary, len(self.cusp_classes), D, ell)
         self.cuspidal_basis, _ = right_kernel(self._boundary[:, self._free], ell)
         self.cuspidal_dim = self.cuspidal_basis.shape[1]

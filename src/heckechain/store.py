@@ -48,18 +48,22 @@ def resolve_cache_dir(flag: str | None) -> str | None:
 
 
 class Store:
-    """One-file-per-entry JSON cache; a None root disables it."""
+    """One-file-per-entry JSON cache; a None root disables it. A directory or
+    entry the file system refuses is a DomainError naming its path."""
 
     def __init__(self, root: str | os.PathLike | None):
         self.root = Path(root) if root is not None else None
         if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise DomainError(f"cannot create cache directory {self.root}: {exc}") from exc
 
     @property
     def enabled(self) -> bool:
         return self.root is not None
 
-    def _path(self, kind: str, params) -> Path:
+    def path(self, kind: str, params) -> Path:
         name = "_".join([kind, *[str(p) for p in params]])
         return self.root / f"{name}.json"
 
@@ -67,11 +71,13 @@ class Store:
         """Payload for the key, or None when absent or caching is off."""
         if not self.enabled:
             return None
-        path = self._path(kind, params)
+        path = self.path(kind, params)
         try:
             raw = path.read_bytes()
         except FileNotFoundError:
             return None
+        except OSError as exc:
+            raise DomainError(f"cannot read cache entry {path}: {exc}") from exc
         try:
             entry = json.loads(raw)
         except ValueError as exc:
@@ -87,7 +93,7 @@ class Store:
     def put(self, kind: str, payload, *params):
         if not self.enabled:
             return None
-        path = self._path(kind, params)
+        path = self.path(kind, params)
         entry = {
             "format": FORMAT_VERSION,
             "kind": kind,
@@ -97,8 +103,12 @@ class Store:
         }
         text = json.dumps(entry, sort_keys=True, indent=1, ensure_ascii=False)
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise DomainError(f"cannot write cache entry {path}: {exc}") from exc
         return path
 
 

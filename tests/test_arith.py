@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,9 +8,7 @@ from heckechain.arith import (
     crt_pair,
     divisors,
     euler_phi,
-    ext_gcd,
     factorize,
-    inv_mod,
     is_prime,
     kronecker,
     legendre,
@@ -58,7 +58,7 @@ def test_divisors_and_phi():
     assert euler_phi(1) == 1
     assert euler_phi(12) == 4
     for n in range(1, 200):
-        assert euler_phi(n) == sum(1 for a in range(1, n + 1) if ext_gcd(a, n)[0] == 1)
+        assert euler_phi(n) == sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
 
 
 def test_legendre_euler_criterion():
@@ -82,25 +82,6 @@ def test_kronecker_quadratic_character_mod_8():
         assert kronecker(2, n) == expect
 
 
-@given(
-    st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=1, max_value=10**6),
-)
-def test_ext_gcd_bezout(a, b):
-    g, x, y = ext_gcd(a, b)
-    assert g == a * x + b * y
-    assert a % g == 0 and b % g == 0
-
-
-@given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=10**6))
-def test_inv_mod(m, a):
-    if ext_gcd(a, m)[0] != 1:
-        with pytest.raises(DomainError):
-            inv_mod(a, m)
-    else:
-        assert a * inv_mod(a, m) % m == 1
-
-
 def test_crt_pair():
     r, m = crt_pair(2, 3, 3, 5)
     assert m == 15 and r % 3 == 2 and r % 5 == 3
@@ -108,6 +89,17 @@ def test_crt_pair():
     assert m == 104 and r % 8 == 1 and r % 13 == 12
     with pytest.raises(DomainError):
         crt_pair(1, 6, 1, 4)
+
+
+@given(*[st.integers(min_value=1, max_value=10**4)] * 2, *[st.integers(-(10**6), 10**6)] * 2)
+def test_crt_pair_solves_both_congruences(m1, m2, r1, r2):
+    if gcd(m1, m2) != 1:
+        with pytest.raises(DomainError):
+            crt_pair(r1, m1, r2, m2)
+    else:
+        r, m = crt_pair(r1, m1, r2, m2)
+        assert m == m1 * m2 and 0 <= r < m
+        assert (r - r1) % m1 == 0 and (r - r2) % m2 == 0
 
 
 @given(st.integers(min_value=2, max_value=1000), st.integers())

@@ -14,6 +14,7 @@ import pytest
 from heckechain import cli, eigensystems, graph, modsym, planner
 from heckechain.dims import dim_cusp_forms
 from heckechain.modsym import MAX_LEVEL
+from heckechain.store import Store
 
 DESCRIPTORS = Path(__file__).parent / "golden"
 
@@ -272,6 +273,14 @@ def test_plan_invalid_json(capsys, tmp_path):
     assert "is not valid JSON" in err
 
 
+def test_plan_descriptor_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "plan", str(bad), "--bound", "10")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: descriptor file {bad} is not valid JSON")
+
+
 def plan_delta(capsys):
     return run(capsys, "plan", str(DESCRIPTORS / "delta.json"), "--bound", "10")
 
@@ -362,6 +371,47 @@ def test_corrupt_cache_entry_is_a_domain_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: cache entry {path} is not valid JSON")
+
+
+def cache_dir_is_a_file(tmp_path):
+    (tmp_path / "cache").write_text("")
+    return tmp_path / "cache"
+
+
+def cache_entry_is_a_directory(tmp_path):
+    (tmp_path / "space_11_2_7.json").mkdir()
+    return tmp_path
+
+
+def cache_entry_lacks_a_field(tmp_path):
+    Store(tmp_path).put("space", {"N": 11}, 11, 2, 7)
+    return tmp_path
+
+
+def cache_entry_has_a_malformed_field(tmp_path):
+    orbit = {"label": "a", "degree": 1, "multiplicity": 1, "semisimple": True, "old": False,
+             "eigen": {"two": 1}}
+    Store(tmp_path).put("orbits", {"N": 11, "k": 2, "ell": 7, "sturm": 2, "orbits": [orbit]},
+                        11, 2, 7)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "make_cache, command, message",
+    [
+        (cache_dir_is_a_file, "space", "cannot create cache directory"),
+        (cache_entry_is_a_directory, "space", "cannot read cache entry"),
+        (cache_entry_lacks_a_field, "space", "does not match the space payload"),
+        (cache_entry_has_a_malformed_field, "orbits", "does not match the orbits payload"),
+    ],
+)
+def test_unusable_cache_is_a_domain_error(capsys, tmp_path, make_cache, command, message):
+    # Running as root, a permission-denied directory or entry cannot be made.
+    cache = make_cache(tmp_path)
+    code, out, err = run(capsys, "--cache-dir", str(cache), command, "11", "2", "7")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_cached_plan_renders_identically(capsys, tmp_path):

@@ -29,6 +29,27 @@ def test_candidate_discriminants_level_23():
         assert D % 4 in (0, 1)
 
 
+def is_squarefree(n):
+    return all(n % (p * p) for p in range(2, abs(n)))
+
+
+def is_fundamental(D):
+    if D % 4 == 1:
+        return is_squarefree(D)
+    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and is_squarefree(D // 4)
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_candidate_discriminants_match_brute_force(ell):
+    # A fundamental discriminant unramified outside M has |D| <= 4 rad(M) and
+    # at most 2^3 and single odd primes, so M^3 is divisible by it.
+    for N in range(1, 61):
+        M = N * ell
+        want = [D for D in range(-4 * M, 4 * M + 1)
+                if D not in (0, 1) and pow(M, 3, abs(D)) == 0 and is_fundamental(D)]
+        assert candidate_discriminants(N, ell) == sorted(want, key=lambda D: (abs(D), D < 0)), N
+
+
 def test_level_11_mod_5_is_reducible():
     # The level-11 curve has a rational 5-torsion point: a(q) = 1 + q mod 5.
     img = classify_image(decompose(11, 2, 5)[0])

@@ -1,9 +1,11 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
 from heckechain._kernels import hecke_accum, matmul_mod
 from heckechain.arith import DomainError, primes_up_to
-from heckechain.dims import dim_cusp_forms
+from heckechain.dims import dim_cusp_forms, nu_inf
 from heckechain.images import witness_bound
 from heckechain.matrix import restrict, right_kernel
 from heckechain.modsym import (
@@ -12,6 +14,7 @@ from heckechain.modsym import (
     STAR,
     ModularSymbolSpace,
     P1List,
+    Presentation,
     _presentation,
     heilbronn_matrices,
     symbol_space,
@@ -208,6 +211,88 @@ def star_on_cuspidal(sp):
     return restrict(sp._act(STAR), sp.cuspidal_basis, sp.ell)
 
 
+def _cusp_normalize(a, c):
+    if c == 0:
+        return (1, 0)
+    g = gcd(a, c)
+    a //= g
+    c //= g
+    if c < 0:
+        a, c = -a, -c
+    return (a, c)
+
+
+def _cusps_equivalent(N, c1, c2):
+    p1, q1 = c1
+    p2, q2 = c2
+    g = gcd(q1 * q2, N)
+    s1 = p1 if q1 == 0 else (0 if q1 == 1 else pow(p1, -1, q1))
+    s2 = p2 if q2 == 0 else (0 if q2 == 1 else pow(p2, -1, q2))
+    return (s1 * q2 - s2 * q1) % g == 0
+
+
+def ext_gcd(a, b):
+    """Returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def _lift_to_coprime(c, d, N):
+    """Representative of (c : d) with coprime integer entries."""
+    if N == 1:
+        return (0, 1)
+    c %= N
+    d %= N
+    if c == 0:
+        return (N, d)
+    while gcd(c, d) != 1:
+        d += N
+    return (c, d)
+
+
+def scan_boundary(N, k):
+    """The boundary triples and cusp representatives as the search builds
+    them: lift each point of P^1 to SL2(Z), take the two cusps of its
+    boundary, and test each against every class found so far."""
+    p1 = P1List(N)
+    kk, w = k - 2, k - 1
+    cusps = []
+
+    def cusp_class(a, c):
+        cu = _cusp_normalize(a, c)
+        for idx, rep in enumerate(cusps):
+            if _cusps_equivalent(N, rep, cu):
+                return idx
+        cusps.append(cu)
+        return len(cusps) - 1
+
+    entries = []
+    for x in range(len(p1)):
+        c, d = (int(v) for v in p1.reps[x])
+        cl, dl = _lift_to_coprime(c, d, N)
+        _, s, t = ext_gcd(dl, cl)
+        assert s * dl + t * cl == 1
+        entries.append((cusp_class(s, cl), x * w + kk, 1))
+        entries.append((cusp_class(-t, dl), x * w, -1))
+    return entries, cusps
+
+
+def test_closed_form_cusp_classes_match_the_scan():
+    for N in range(1, 201):
+        entries, cusps = scan_boundary(N, 2)
+        pres = Presentation(N, 2)
+        assert np.array_equal(pres.boundary, np.array(entries, dtype=np.int64)), N
+        assert len(pres.cusp_classes) == len(cusps) == nu_inf(N), N
+    assert len(Presentation(2310, 2).cusp_classes) == nu_inf(2310)
+
+
 def reference_space(N, k, ell):
     """_free, _proj, cusp classes and cuspidal basis from the dense
     construction: every two- and three-term relation row of every point of
@@ -215,8 +300,6 @@ def reference_space(N, k, ell):
     vectors by a loop over the free columns."""
     from math import comb
 
-    from heckechain import modsym
-    from heckechain.arith import ext_gcd
     from heckechain.matrix import rref
 
     p1 = P1List(N)
@@ -243,23 +326,7 @@ def reference_space(N, k, ell):
     proj[:, free] = np.eye(len(free), dtype=np.int64)
     proj[:, piv] = -Rr[:rank][:, free].T % ell
 
-    cusps = []
-
-    def cusp_class(a, c):
-        cu = modsym._cusp_normalize(a, c)
-        for idx, rep in enumerate(cusps):
-            if modsym._cusps_equivalent(N, rep, cu):
-                return idx
-        cusps.append(cu)
-        return len(cusps) - 1
-
-    entries = []
-    for x in range(len(p1)):
-        c, d = (int(v) for v in p1.reps[x])
-        cl, dl = modsym._lift_to_coprime(c, d, N)
-        _, s, t = ext_gcd(dl, cl)
-        entries.append((cusp_class(s, cl), x * w + kk, 1))
-        entries.append((cusp_class(-t, dl), x * w, -1))
+    entries, cusps = scan_boundary(N, k)
     boundary = np.zeros((len(cusps), D), dtype=np.int64)
     for ci, col, val in entries:
         boundary[ci, col] += val
@@ -312,7 +379,7 @@ def test_presentation_matches_dense_construction(N, k, ells):
         p1, free, proj, cusps, basis = reference_space(N, k, ell)
         assert sp._free == free
         assert np.array_equal(sp._proj, proj)
-        assert sp.cusp_classes == cusps
+        assert len(sp.cusp_classes) == len(cusps)
         assert np.array_equal(sp.cuspidal_basis, basis)
         # The plus part: ker(eta - 1) in the cuspidal basis, mapped back.
         eta = reference_action(p1, free, proj, basis, N, k, ell, STAR)

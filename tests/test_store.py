@@ -90,6 +90,14 @@ def test_tampered_entry_fails_checksum(tmp_path):
         assert str(path) in str(exc.value)
 
 
+def test_refused_write_is_a_domain_error_and_leaves_no_temporary(tmp_path):
+    st = Store(tmp_path)
+    st.path("space", (11, 2, 7)).mkdir()
+    with pytest.raises(DomainError, match="cannot write cache entry"):
+        st.put("space", {"dim": 2}, 11, 2, 7)
+    assert [p.name for p in tmp_path.iterdir()] == ["space_11_2_7.json"]
+
+
 WRITES = 150
 WRITERS = "abc"  # more writers than the two cores CI machines have
 SRC = Path(__file__).resolve().parents[1] / "src"
