@@ -9,7 +9,9 @@ The eigenvalues a(q) are a character of the F_ell Hecke algebra on the block,
 with values in its residue field F_{ell^degree} (Stein, *Modular Forms: A
 Computational Approach*, ch. 9): F_ell linear algebra plus one root per
 orbit, from the first query on.  An operator already semisimple over
-F_{ell^degree} is its own semisimple part.
+F_{ell^degree} is its own semisimple part.  A field block, with a minimal
+polynomial of degree block_dim, is a field holding every operator: it is
+semisimple, and each charpoly's one squarefree part is a minimal polynomial.
 """
 
 from __future__ import annotations
@@ -103,6 +105,8 @@ class Eigensystem:
     def _semisimple_at(self) -> dict[int, bool]:
         """Whether each base prime's minimal polynomial kills T_p on the block."""
         ell, basis = self.ell, self._basis
+        if _is_field(basis, self._minpolys):
+            return dict.fromkeys(self.base_primes, True)
         restricted = ((q, restrict(self._hecke_matrix(q), basis, ell)) for q in self.base_primes)
         return {q: not poly_of_matrix(self._minpolys[q], R, ell).any() for q, R in restricted}
 
@@ -246,11 +250,17 @@ def _split_block(R: np.ndarray, fac, ell: int) -> list[tuple[np.ndarray, polys.P
     return out
 
 
+def _is_field(basis: np.ndarray, minpolys) -> bool:
+    """Whether some f_q the block carries has degree dim: it is F_ell[T_q] = F_{ell^dim}."""
+    return any(polys.degree(f) == basis.shape[1] for f in minpolys.values())
+
+
 def _refine(space: ModularSymbolSpace, blocks, qs: list[int]) -> list:
     """Split each (basis, minpolys) block into the generalized eigenspaces of
     the operators at qs; a piece carries the minimal polynomial of every
-    operator so far.  A prime the block already carries is skipped."""
-    ell = space.ell
+    operator so far.  A prime the block already carries is skipped; on a
+    field block the charpoly's one squarefree part is the minimal polynomial."""
+    ell, Fl = space.ell, field(space.ell)
     for q in qs:
         nxt = []
         for basis, minpolys in blocks:
@@ -258,7 +268,11 @@ def _refine(space: ModularSymbolSpace, blocks, qs: list[int]) -> list:
                 nxt.append((basis, minpolys))
                 continue
             R = restrict(space.hecke_matrix(q), basis, ell)
-            fac = polys.factor(field(ell), charpoly_mod(R, ell))
+            in_field = _is_field(basis, minpolys)
+            factoring = polys.squarefree_decomposition if in_field else polys.factor
+            fac = factoring(Fl, charpoly_mod(R, ell))
+            if in_field and len(fac) > 1:
+                raise DomainError(f"the operator at {q} is not in the field of its block")
             if len(fac) == 1:
                 nxt.append((basis, {**minpolys, q: fac[0][0]}))
                 continue

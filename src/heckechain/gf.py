@@ -4,7 +4,8 @@ Elements are encoded as integers in [0, p^d): the base-p digits of the encoding
 are the coefficients of the residue polynomial, least significant digit first.
 The defining modulus is the monic irreducible of degree d whose non-leading
 coefficient vector has the smallest integer encoding, so fields are canonical
-across runs and machines. Degree-1 fields reduce to plain mod-p arithmetic.
+across runs and machines; the search skips the binomials when none can be
+irreducible. Degree-1 fields reduce to plain mod-p arithmetic.
 
 For d > 1, ``fold`` holds the base-p digits of alpha^d, ..., alpha^(2d-2),
 alpha the class of x, one read-only row each.  ``mul`` convolves the two digit vectors
@@ -18,22 +19,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import polys
-from .arith import DomainError, is_prime
+from .arith import DomainError, factorize, is_prime
 
 _FIELD_CACHE: dict[tuple[int, int], "FiniteField"] = {}
 
 
 def _canonical_modulus(p: int, d: int) -> tuple[int, ...]:
-    """Monic irreducible of degree d over F_p with smallest encoded low part."""
-    for low in range(p**d):
-        coeffs = []
-        n = low
-        for _ in range(d):
-            coeffs.append(n % p)
-            n //= p
-        coeffs.append(1)
-        if polys.is_irreducible(field(p), tuple(coeffs)):
-            return tuple(coeffs)
+    """Monic irreducible of degree d over F_p with smallest encoded low part.
+    The scan starts past the binomials x^d + c (low < p) when none can be
+    irreducible: some prime factor of d does not divide p - 1, or 4 | d and
+    p = 3 mod 4 (Lidl & Niederreiter, *Finite Fields*, Thm 3.75)."""
+    no_binomial = any((p - 1) % r for r in factorize(d)) or (d % 4 == 0 and p % 4 == 3)
+    for low in range(p if no_binomial else 0, p**d):
+        coeffs = tuple(low // p**i % p for i in range(d)) + (1,)
+        if polys.is_irreducible(field(p), coeffs):
+            return coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 

@@ -7,22 +7,24 @@ Gerhard, *Modern Computer Algebra*, 14.2) / equal-degree splitting with a
 PRNG seeded from the input, so factors and their order are reproducible;
 the equal-degree step, and with it root finding, needs odd characteristic.
 
-Over F = F_{p^d}, d > 1, ``pow_mod`` packs an element of F[x]/(m), n = deg m,
-as n x d base-p digits into one int, the digit of x^i alpha^j in slot
-i(2d-1) + j, so a product is one big-int multiply (Kronecker substitution,
-von zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4).  A product slot
-sums at most nd(p-1)^2; ``slot_width`` picks the smallest of 16, 32 or 64
-bits that holds it, else refuses.  numpy reads the product out, folds
-alpha-degrees d .. 2d-2 back through F's ``fold`` table and x-degrees
-n .. 2n-2 through one F_p-linear map built per call.  Over F_p that costs
-more than the coefficient loop, whose products are machine-size, so d = 1
-keeps the loop, which ``add``, ``mul``, ``divmod_poly`` and the Frobenius
-step run on plain ints.
+Over F = F_{p^d}, d > 1, a polynomial is an array of base-p digit rows, one
+per coefficient; ``divmod_poly``, ``gcd`` (by cross-multiplying, so only its
+final monic scaling inverts) and ``scale`` multiply rows by the d x d F_p
+matrix of an element.  ``pow_mod`` packs the rows of an element of F[x]/(m),
+n = deg m, into one int, the digit of x^i alpha^j in slot i(2d-1) + j, so a
+product is one big-int multiply (Kronecker substitution, von zur Gathen &
+Gerhard, *Modern Computer Algebra*, 8.4).  A product slot sums at most
+nd(p-1)^2; ``slot_width`` picks the smallest of 16, 32 or 64 bits that holds
+it, else refuses.  numpy folds alpha-degrees d .. 2d-2 back through F's
+``fold`` table and x-degrees n .. 2n-2 through one F_p-linear map per ring;
+``one_root`` raises through the norm when f lies over F_p.  d = 1 runs ``add``,
+``mul``, ``divmod_poly`` and the Frobenius step on plain ints.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -87,7 +89,27 @@ def mul(F: FiniteField, f: Poly, g: Poly) -> Poly:
 def scale(F: FiniteField, c: int, f: Poly) -> Poly:
     if c == 0:
         return ()
+    if F.degree > 1:
+        return _unrows(F, _rows(F, f) @ _times(F, _rows(F, (c,))[0]) % F.p)
     return trim(F.mul(c, a) for a in f)
+
+
+def _rows(F: FiniteField, f: Poly) -> np.ndarray:
+    """The base-p digits of f's coefficients, one row each."""
+    return np.array([F.decode(c) for c in f], dtype=np.uint64).reshape(-1, F.degree)
+
+
+def _unrows(F: FiniteField, rows: np.ndarray) -> Poly:
+    return trim(F.encode(r) for r in rows.tolist())
+
+
+def _times(F: FiniteField, c: np.ndarray) -> np.ndarray:
+    """Multiplication by the digit row c as a d x d F_p matrix, row j the
+    digits of c alpha^j: ``rows @ _times(F, c)`` scales each row by c."""
+    p, d = F.p, F.degree
+    shifted = np.zeros((d, 2 * d - 1), dtype=np.uint64)
+    shifted[np.arange(d)[:, None], np.arange(d)[:, None] + np.arange(d)] = c
+    return (shifted[:, :d] + shifted[:, d:] @ F.fold % p) % p
 
 
 def divmod_poly(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -98,20 +120,18 @@ def divmod_poly(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     rem = list(f)
     dg = degree(g)
     inv_lead = F.inv(g[-1])
-    quo = [0] * (len(f) - dg)
-    if F.degree == 1:  # plain ints; rem[i] is reduced when it leads
+    if F.degree > 1:  # digit rows, g made monic; row i >= dg is final once it leads
+        p, inv = F.p, _times(F, _rows(F, (inv_lead,))[0])
+        gm, rem = _rows(F, g[:-1]) @ inv % p, _rows(F, f)
         for i in range(len(f) - 1, dg - 1, -1):
-            quo[i - dg] = c = rem[i] * inv_lead % F.p
-            for j, b in enumerate(g, i - dg):
-                rem[j] -= c * b
-        return trim(quo), trim([r % F.p for r in rem[:dg]])
+            rem[i - dg : i] = (rem[i - dg : i] + p - gm @ _times(F, rem[i]) % p) % p
+        return _unrows(F, rem[dg:] @ inv % p), _unrows(F, rem[:dg])
+    quo = [0] * (len(f) - dg)  # plain ints; rem[i] is reduced when it leads
     for i in range(len(f) - 1, dg - 1, -1):
-        c = F.mul(rem[i], inv_lead)
-        if c:
-            quo[i - dg] = c
-            for j in range(dg + 1):
-                rem[i - dg + j] = F.sub(rem[i - dg + j], F.mul(c, g[j]))
-    return trim(quo), trim(rem[:dg])
+        quo[i - dg] = c = rem[i] * inv_lead % F.p
+        for j, b in enumerate(g, i - dg):
+            rem[j] -= c * b
+    return trim(quo), trim([r % F.p for r in rem[:dg]])
 
 
 def mod(F: FiniteField, f: Poly, g: Poly) -> Poly:
@@ -125,9 +145,22 @@ def monic(F: FiniteField, f: Poly) -> Poly:
 
 
 def gcd(F: FiniteField, f: Poly, g: Poly) -> Poly:
-    while g:
-        f, g = g, mod(F, f, g)
-    return monic(F, f)
+    if F.degree == 1:
+        while g:
+            f, g = g, mod(F, f, g)
+        return monic(F, f)
+    # Digit rows: a -> lc(b) a - lc(a) x^k b takes no inverse; monic takes one.
+    p, a, b = F.p, _rows(F, f), _rows(F, g)
+    while len(b):
+        lead = _times(F, b[-1])
+        while len(a) >= len(b):
+            top, k = _times(F, a[-1]), len(a) - len(b)
+            a = a @ lead % p
+            a[k:] = (a[k:] + p - b @ top % p) % p
+            while len(a) and not a[-1].any():
+                a = a[:-1]
+        a, b = b, a
+    return monic(F, _unrows(F, a))
 
 
 def xgcd(F: FiniteField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -161,27 +194,28 @@ def fold_map(top: np.ndarray, count: int, p: int) -> np.ndarray:
     return np.vstack(blocks)[: count * b]
 
 
-def _pow_mod_packed(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
-    """f^e mod monic m over F = F_{p^d}, d > 1, f reduced and nonzero."""
+def _packed_ring(F: FiniteField, m: Poly):
+    """pack, unpack and mulmod of F[x]/(m), F = F_{p^d}, d > 1, m monic."""
     p, d, n = F.p, F.degree, degree(m)
     width = slot_width(n * d * (p - 1) ** 2, f"F_{p}^{d}[x] mod a degree-{n} polynomial")
     dtype = np.dtype(f"<u{width // 8}")
     stride = 2 * d - 1  # alpha-degrees of one x-coefficient of a product
     nbytes = stride * dtype.itemsize  # per x-coefficient
 
-    def digits(poly: Poly) -> np.ndarray:
-        return np.array([F.decode(c) for c in poly], dtype=np.uint64).reshape(-1, d)
-
     def pack(rows: np.ndarray) -> int:
         out = np.zeros((n, stride), dtype=dtype)
         out[: len(rows), :d] = rows
         return int.from_bytes(out.tobytes(), "little")
 
+    def unpack(a: int) -> np.ndarray:
+        rows = np.frombuffer(a.to_bytes(n * nbytes, "little"), dtype).reshape(n, stride)
+        return rows[:, :d].astype(np.uint64)
+
     # alpha^d .. alpha^(2d-2) mod F's modulus, then multiplication by each -m_k.
     alpha = F.fold
     powers = np.vstack([np.eye(d, dtype=np.uint64), alpha])
     window = np.stack([powers[t : t + d] for t in range(d)])
-    neg = np.tensordot((p - digits(m[:n])) % p, window, 1) % p
+    neg = np.tensordot((p - _rows(F, m[:n])) % p, window, 1) % p
     xfold = fold_map(neg.transpose(1, 0, 2).reshape(d, n * d), n - 1, p)
 
     def mulmod(a: int, b: int) -> int:
@@ -192,15 +226,16 @@ def _pow_mod_packed(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
         low = (c[:n].reshape(-1) + c[n:].reshape(-1) @ xfold % p) % p
         return pack(low.reshape(n, d))
 
-    result, base = 1, pack(digits(f))
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        e >>= 1
-        if e:
-            base = mulmod(base, base)
-    rows = np.frombuffer(result.to_bytes(n * nbytes, "little"), dtype).reshape(n, stride)
-    return trim(F.encode(r[:d]) for r in rows)
+    return pack, unpack, mulmod
+
+
+def _pow_packed(mulmod, a: int, e: int) -> int:
+    result = 1  # the packed constant 1
+    for bit in bin(e)[2:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(result, a)
+    return result
 
 
 def pow_mod(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
@@ -208,7 +243,8 @@ def pow_mod(F: FiniteField, f: Poly, e: int, m: Poly) -> Poly:
     if not f:  # so the packed path never meets a constant m
         return () if e else (1,)
     if F.degree > 1:
-        return _pow_mod_packed(F, f, e, monic(F, m))
+        pack, unpack, mulmod = _packed_ring(F, monic(F, m))
+        return _unrows(F, unpack(_pow_packed(mulmod, pack(_rows(F, f)), e)))
     result: Poly = (1,)
     while e:
         if e & 1:
@@ -236,14 +272,10 @@ def is_irreducible(F: FiniteField, f: Poly) -> bool:
     return True
 
 
-def _pth_root(F: FiniteField, a: int) -> int:
-    # In F_{p^d} the p-th power map is a bijection with inverse x -> x^(p^(d-1)).
-    return F.pow(a, F.order // F.p)
-
-
 def _pth_root_poly(F: FiniteField, f: Poly) -> Poly:
-    # Assumes f'(x) = 0, i.e. only exponents divisible by p occur.
-    return trim(_pth_root(F, f[i]) for i in range(0, len(f), F.p))
+    # Assumes f'(x) = 0, i.e. only exponents divisible by p occur.  In F_{p^d}
+    # the p-th power map is a bijection with inverse x -> x^(p^(d-1)).
+    return trim(F.pow(f[i], F.order // F.p) for i in range(0, len(f), F.p))
 
 
 def squarefree_decomposition(F: FiniteField, f: Poly) -> list[tuple[Poly, int]]:
@@ -289,15 +321,21 @@ def _frobenius(F: FiniteField, h: Poly, rows: list[Poly]) -> Poly:
     return out
 
 
+def _power_rows(F: FiniteField, f: Poly) -> list[Poly]:
+    """x^(qi) mod f for i < deg f, q = F.order, by one pow_mod and products."""
+    rows = [(1,), pow_mod(F, X, F.order, f)]
+    while len(rows) < degree(f):
+        rows.append(mod(F, mul(F, rows[-1], rows[1]), f))
+    return rows
+
+
 def distinct_degree(F: FiniteField, f: Poly) -> list[tuple[int, Poly]]:
     """Split squarefree monic f into products of irreducibles of equal degree;
     the Frobenius matrix takes one pow_mod and deg f - 2 products."""
     out = []
     h = X
     i = 0
-    rows = [(1,), pow_mod(F, X, F.order, f)]
-    while len(rows) < degree(f):
-        rows.append(mod(F, mul(F, rows[-1], rows[1]), f))
+    rows = _power_rows(F, f)
     while degree(f) >= 2 * (i + 1):
         i += 1
         h = _frobenius(F, h, rows)
@@ -324,9 +362,10 @@ def _random_poly(F: FiniteField, rng: random.Random, deg: int) -> Poly:
     return trim([rng.randrange(F.order) for _ in range(deg)] + [1])
 
 
-def _split(F: FiniteField, f: Poly, d: int) -> tuple[Poly, Poly]:
+def _split(F: FiniteField, f: Poly, d: int, power=None) -> tuple[Poly, Poly]:
     """One Cantor-Zassenhaus step: f, squarefree monic with irreducible
-    factors all of degree d < deg f, as a product of two proper factors."""
+    factors all of degree d < deg f, as a product of two proper factors.
+    ``power(a)``, when given, is a^((q^d - 1)/2) modulo a multiple of f."""
     if F.p == 2:
         raise DomainError("equal-degree splitting needs odd characteristic")
     n = degree(f)
@@ -335,7 +374,7 @@ def _split(F: FiniteField, f: Poly, d: int) -> tuple[Poly, Poly]:
         a = _random_poly(F, rng, rng.randrange(1, n))
         if degree(a) < 1:
             continue
-        b = pow_mod(F, a, (F.order**d - 1) // 2, f)
+        b = mod(F, power(a), f) if power else pow_mod(F, a, (F.order**d - 1) // 2, f)
         g = gcd(F, sub(F, b, (1,)), f)
         if 0 < degree(g) < n:
             return g, divmod_poly(F, f, g)[0]
@@ -353,11 +392,38 @@ def equal_degree_split(F: FiniteField, f: Poly, d: int) -> list[Poly]:
     )
 
 
+def _norm_power(F: FiniteField, f: Poly):
+    """a -> a^((p^D-1)/2) mod f, f monic over F_p, F = F_{p^D}, as N(a)^((p-1)/2),
+    N(a) = prod_{j<D} sigma^j(a) by doubling.  The p-th power map sigma of F[x]/(f)
+    is F_p-linear on digit rows: F's Frobenius on each coefficient (Phi), then
+    x -> x^p (M, row i = x^(pi) mod f); von zur Gathen & Shoup, Comput. Complex. 2."""
+    from .gf import field  # gf imports this module
+    p, D, n = F.p, F.degree, degree(f)
+    M = np.array([r + (0,) * (n - len(r)) for r in _power_rows(field(p), f)], dtype=np.uint64)
+    Phi = _rows(F, list(accumulate([F.pow(p, p)] * (D - 1), F.mul, initial=1)))
+    pack, unpack, mulmod = _packed_ring(F, f)
+
+    def power(a: Poly) -> Poly:
+        base = pack(_rows(F, a))
+        norm, P, S = base, Phi, M  # N(a) over sigma^0 .. sigma^(m-1); sigma^m
+        for bit in bin(D)[3:]:
+            norm = mulmod(norm, pack(S.T @ (unpack(norm) @ P % p) % p))
+            P, S = P @ P % p, S @ S % p
+            if bit == "1":
+                norm = mulmod(base, pack(M.T @ (unpack(norm) @ Phi % p) % p))
+                P, S = P @ Phi % p, S @ M % p
+        return _unrows(F, unpack(_pow_packed(mulmod, norm, (p - 1) // 2)))
+
+    return power
+
+
 def one_root(F: FiniteField, f: Poly) -> int:
     """A root of monic f, a product of distinct linear factors over F: each
-    split keeps only its smaller factor."""
+    split keeps only its smaller factor.  Over F_{p^D}, D > 1, an f over F_p
+    takes each split's power through the norm, from the same draws."""
+    power = _norm_power(F, f) if F.degree > 1 and degree(f) > 1 and max(f) < F.p else None
     while degree(f) > 1:
-        f = min(_split(F, f, 1), key=degree)
+        f = min(_split(F, f, 1, power), key=degree)
     return F.neg(f[0])
 
 

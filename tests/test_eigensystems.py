@@ -566,3 +566,32 @@ def test_power_is_kept_on_non_semisimple_blocks(N, k, ell, semisimple_parts):
     assert [skip for _, skip, _ in semisimple_parts] == [False] * sum(
         len(s.base_primes) for s in blocks
     )
+
+
+# Field blocks (one minimal polynomial of degree block_dim) take minimal
+# polynomials from a squarefree part and answer `semisimple` with no test;
+# the grid also holds non-semisimple blocks (23.2.5) and blocks holding
+# several systems, which must still be factored.
+FIELD_BLOCK_SPACES = (
+    [(389, 2, 7), (97, 4, 13)]
+    + [(N, 2, ell) for N in range(11, 61) for ell in (5, 7, 11, 13) if N % ell]
+    + [(N, 4, ell) for N in range(5, 31) for ell in (5, 7, 11, 13) if N % ell]
+)
+
+
+@pytest.mark.parametrize("N, k, ell", FIELD_BLOCK_SPACES)
+def test_field_blocks_match_factoring_and_the_explicit_semisimple_test(N, k, ell):
+    Fl = field(ell)
+    later = [q for q in primes_up_to(sturm_bound(N, k) + 20) if N * ell % q][-2:]
+    for s in decompose(N, k, ell):
+        for q in s.base_primes + later:
+            R = matrix.restrict(s._hecke_matrix(q), s._basis, ell)
+            fac = polys.factor(Fl, matrix.charpoly_mod(R, ell))
+            if len(fac) > 1:  # a later prime splits a block holding several systems
+                with pytest.raises(DomainError, match="splits the orbit's block"):
+                    s.min_poly(q)
+            else:
+                assert s.min_poly(q) == fac[0][0], q
+        restricted = ((q, matrix.restrict(s._hecke_matrix(q), s._basis, ell)) for q in s.base_primes)
+        explicit = all(not matrix.poly_of_matrix(s.min_poly(q), R, ell).any() for q, R in restricted)
+        assert s.semisimple == explicit

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckechain import polys
-from heckechain.arith import DomainError
+from heckechain import gf, polys
+from heckechain.arith import DomainError, primes_up_to
 from heckechain.gf import field
 
 FIELDS = [(5, 1), (5, 2), (7, 2), (11, 3), (13, 1), (13, 2), (7, 18), (2, 8)]
@@ -187,3 +187,35 @@ def test_multiplicative_group_order():
         if a == 0:
             continue
         assert F.pow(a, 48) == one
+
+
+def plain_scan_modulus(p, d):
+    """The first monic irreducible of degree d over F_p by encoded low part,
+    with every candidate tested, binomials included."""
+    Fp = field(p)
+    for low in range(p**d):
+        coeffs = tuple(low // p**i % p for i in range(d)) + (1,)
+        if polys.is_irreducible(Fp, coeffs):
+            return coeffs
+    raise AssertionError("no irreducible polynomial found")
+
+
+def test_canonical_modulus_matches_the_plain_scan():
+    for p in primes_up_to(53):
+        for d in range(2, 9):
+            assert gf._canonical_modulus(p, d) == plain_scan_modulus(p, d), (p, d)
+
+
+def test_canonical_modulus_tests_no_binomial_that_cannot_be_irreducible(monkeypatch):
+    # 3 does not divide 65536, so no x^3 + c is irreducible over F_65537: the
+    # scan starts at x^3 + x and tests 5 candidates, not 65 542.
+    tested = []
+    is_irreducible = polys.is_irreducible
+
+    def counted(F, f):
+        tested.append(f)
+        return is_irreducible(F, f)
+
+    monkeypatch.setattr(polys, "is_irreducible", counted)
+    assert gf._canonical_modulus(65537, 3) == (4, 1, 0, 1)
+    assert tested == [(c, 1, 0, 1) for c in range(5)]

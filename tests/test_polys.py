@@ -338,3 +338,104 @@ def test_distinct_degree_matches_pow_mod_steps(p, d):
             i, first = want[0]
             partway += len(want) > 1 and polys.degree(g) - polys.degree(first) >= 2 * (i + 1)
     assert partway >= 3
+
+
+def coefficient_divmod(F, f, g):
+    """Schoolbook division with one `FiniteField` call per coefficient
+    operation: the reference for the digit-row division over F_{p^d}."""
+    if len(f) < len(g):
+        return (), f
+    rem, dg, inv_lead = list(f), polys.degree(g), F.inv(g[-1])
+    quo = [0] * (len(f) - dg)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = F.mul(rem[i], inv_lead)
+        if c:
+            quo[i - dg] = c
+            for j in range(dg + 1):
+                rem[i - dg + j] = F.sub(rem[i - dg + j], F.mul(c, g[j]))
+    return polys.trim(quo), polys.trim(rem[:dg])
+
+
+def coefficient_gcd(F, f, g):
+    """Euclid on `coefficient_divmod`, made monic coefficient by coefficient."""
+    while g:
+        f, g = g, coefficient_divmod(F, f, g)[1]
+    return polys.monic(F, f)
+
+
+def split_loop_one_root(F, f):
+    """`one_root` with every split's power by `pow_mod` to (q - 1)/2 and its
+    gcd and division coefficient by coefficient: the reference for the root
+    through the norm, drawing the same seeded a's."""
+    while polys.degree(f) > 1:
+        n = polys.degree(f)
+        rng = random.Random(polys._split_seed(F, f))
+        while True:
+            a = polys._random_poly(F, rng, rng.randrange(1, n))
+            if polys.degree(a) < 1:
+                continue
+            b = polys.pow_mod(F, a, (F.order - 1) // 2, f)
+            g = coefficient_gcd(F, polys.sub(F, b, (1,)), f)
+            if 0 < polys.degree(g) < n:
+                break
+        f = min((g, coefficient_divmod(F, f, g)[0]), key=polys.degree)
+    return F.neg(f[0])
+
+
+EXTENSIONS = [(p, d) for p in (5, 7, 11, 13, 101) for d in range(2, 19)]
+
+
+@st.composite
+def extension_and_seed(draw):
+    p, d = draw(st.sampled_from(EXTENSIONS))
+    return field(p, d), random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(extension_and_seed())
+def test_digit_row_gcd_and_division_match_coefficient_loops(data):
+    F, rng = data
+    common = rand_poly(F, rng, rng.randrange(0, 4))
+    f = polys.mul(F, rand_poly(F, rng, rng.randrange(0, 12)), common)
+    g = polys.mul(F, rand_poly(F, rng, rng.randrange(0, 12)), common)
+    for a, b in ((f, g), (g, f), (f, common), (f, ()), ((), g)):
+        assert polys.gcd(F, a, b) == coefficient_gcd(F, a, b)
+        if b:
+            assert polys.divmod_poly(F, a, b) == coefficient_divmod(F, a, b)
+    assert polys.gcd(F, (), ()) == ()
+
+
+def conjugate_product(F, rng, count):
+    """A product of distinct linear factors over F with prime-field
+    coefficients: x - r over the Frobenius orbits of ``count`` random r."""
+    roots = set()
+    for _ in range(count):
+        r = rng.randrange(F.order)
+        while r not in roots:
+            roots.add(r)
+            r = F.frobenius(r)
+    f = (1,)
+    for r in sorted(roots):
+        f = polys.mul(F, f, (F.neg(r), 1))
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(extension_and_seed(), st.integers(min_value=1, max_value=2))
+def test_one_root_through_the_norm_matches_the_split_loop(data, count):
+    F, rng = data
+    f = conjugate_product(F, rng, count)
+    assert max(f) < F.p  # the norm path's condition
+    if polys.degree(f) > 1:
+        a = rand_poly(F, rng, rng.randrange(1, polys.degree(f)))
+        want = polys.pow_mod(F, a, (F.order - 1) // 2, f)
+        assert polys._norm_power(F, f)(a) == want
+    root = polys.one_root(F, f)
+    assert root == split_loop_one_root(F, f)
+    assert evaluate(F, f, root) == 0
+
+
+@pytest.mark.parametrize("p, d", [(7, 18), (13, 10), (13, 11), (101, 2)])
+def test_one_root_of_the_modulus_matches_the_split_loop(p, d):
+    F = field(p, d)
+    assert polys.one_root(F, F.modulus) == split_loop_one_root(F, F.modulus)
