@@ -10,7 +10,11 @@ presentation memoised (the work mod ell) and with the memo cleared first; a
 ``FiniteField.mul`` row times a batch of 1000 multiplies of seeded random
 element pairs, the ``FiniteField.inv`` row 100 inverses of seeded random
 nonzero elements, and the ``pow_mod`` row raises a seeded degree-18 polynomial
-to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial.  The
+to the power (7^18 - 1)/2 modulo a seeded monic degree-18 polynomial that
+does not lie over F_7.  The ``one_root`` row finds a root in F_7^18 of
+a seeded irreducible of degree 18 over F_7, the shape of the root on the
+degree-18 orbit of 389.2.7, and the ``gcd`` row takes the gcd of two seeded
+degree-18 polynomials over F_7^18.  The
 ``charpoly_mod`` row is one seeded random 40 x 40 matrix over F_7, the
 ``polys.factor`` row one seeded random monic degree-30 polynomial over F_13,
 the ``P1List`` row builds P^1(Z/389), and the ``distinct_degree`` row splits
@@ -155,14 +159,31 @@ def bench_field_inv(repeats):
 
 
 def bench_pow_mod(repeats):
-    # The shape of one Cantor-Zassenhaus split in `polys.one_root` on the
-    # degree-18 orbit of 389.2.7: a degree-18 modulus over F_7^18.
+    # A Cantor-Zassenhaus power modulo a degree-18 polynomial over F_7^18 that
+    # does not lie over F_7; `one_root` on an orbit's minimal polynomial takes
+    # its powers through the norm instead (the `one_root` row).
     F = field(7, 18)
     rng = random.Random(718)
     m = tuple(rng.randrange(F.order) for _ in range(18)) + (1,)
     a = tuple(rng.randrange(F.order) for _ in range(18)) + (rng.randrange(1, F.order),)
     e = (F.order - 1) // 2
     return [("pow_mod F_7^18 deg 18", best_of(lambda: polys.pow_mod(F, a, e, m), repeats))]
+
+
+def bench_one_root(repeats):
+    F, Fp = field(7, 18), field(7)
+    rng = random.Random(718)
+    f: tuple[int, ...] = ()
+    while not polys.is_irreducible(Fp, f):
+        f = tuple(rng.randrange(7) for _ in range(18)) + (1,)
+    return [("one_root F_7^18 deg 18", best_of(lambda: polys.one_root(F, f), repeats))]
+
+
+def bench_gcd(repeats):
+    F = field(7, 18)
+    rng = random.Random(1807)
+    f, g = (tuple(rng.randrange(F.order) for _ in range(18)) + (1,) for _ in range(2))
+    return [("gcd F_7^18 deg 18", best_of(lambda: polys.gcd(F, f, g), repeats))]
 
 
 def bench_charpoly(repeats):
@@ -209,6 +230,8 @@ def main(argv=None):
         + bench_field_mul(args.repeats)
         + bench_field_inv(args.repeats)
         + bench_pow_mod(args.repeats)
+        + bench_one_root(args.repeats)
+        + bench_gcd(args.repeats)
         + bench_charpoly(args.repeats)
         + bench_factor(args.repeats)
         + bench_p1(args.repeats)

@@ -360,7 +360,8 @@ def coefficient_gcd(F, f, g):
     """Euclid on `coefficient_divmod`, made monic coefficient by coefficient."""
     while g:
         f, g = g, coefficient_divmod(F, f, g)[1]
-    return polys.monic(F, f)
+    inv_lead = F.inv(f[-1]) if f else 0
+    return tuple(F.mul(inv_lead, c) for c in f)
 
 
 def split_loop_one_root(F, f):
